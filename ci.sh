@@ -159,10 +159,11 @@ wait "$SERVE_PID" || gateway_smoke_fail "serve did not exit cleanly"
 rm -f "$SERVE_PORT_FILE" "$GW_PORT_FILE" "$GW_JSON"
 
 # Ingestion smoke, part 1: the ingest example generates on-disk CSVs,
-# preps them whole-file and out-of-core, and asserts the two paths
-# produce bit-identical PreparedData (content_digest) — a divergence
-# aborts the example and fails the gate here.
-echo "==> cargo run --release --example ingest (whole vs chunked digest identity)"
+# preps each twice through the streaming pipeline (default chunk size
+# and --chunk-rows 64), and asserts the two runs produce bit-identical
+# PreparedData (content_digest) — a divergence aborts the example and
+# fails the gate here.
+echo "==> cargo run --release --example ingest (chunk-size digest identity)"
 INGEST_DIR=$(mktemp -d)
 ./target/release/examples/ingest --scales 1,4 --rows 600 --chunk-rows 64 \
   --json "$INGEST_DIR/ingest.json" --emit "$INGEST_DIR/spam.csv"
@@ -258,8 +259,8 @@ echo "==> cargo bench -p poisongame-bench --bench obs_overhead --features obs-no
 cargo bench -p poisongame-bench --bench obs_overhead --features obs-noop -- --test
 
 # Ingestion bench in smoke mode, named explicitly: chunked scan /
-# strict parse throughput, plus whole-file vs out-of-core preparation
-# of on-disk file sources.
+# strict parse throughput, plus streaming preparation of on-disk file
+# sources.
 echo "==> cargo bench -p poisongame-bench --bench ingest -- --test (smoke)"
 cargo bench -p poisongame-bench --bench ingest -- --test
 
@@ -269,5 +270,14 @@ cargo bench -p poisongame-bench --bench ingest -- --test
 # bench binaries, not every crate's libtest harness.
 echo "==> cargo bench -p poisongame-bench -- --test (smoke)"
 cargo bench -p poisongame-bench -- --test
+
+# Benchmark smoke: a short untraced and traced run of every perfbench
+# workload, each checking its outputs and metric names. perfbench is
+# its own workspace that imports the public API (ChunkReader,
+# parse_chunk, FileSource, DataSource::File, sim::timing::snapshot,
+# data::csv::to_csv, ...), so an API change that breaks it fails here
+# instead of in the benchmark pipeline.
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml (benchmark smoke)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI green."

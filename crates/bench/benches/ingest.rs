@@ -1,4 +1,4 @@
-//! Bench: the PR-10 streaming ingestion tier. Three comparisons:
+//! Bench: the streaming ingestion tier. Three measurements:
 //!
 //! * **scan** — raw chunked scan throughput (`poisongame_io::scan`):
 //!   line framing + checksum only, no float parsing; the ceiling for
@@ -7,10 +7,8 @@
 //!   strict CSV parse into flat feature/label buffers, per chunk
 //!   size.
 //! * **prepare** — `pipeline::prepare_data` against an on-disk file
-//!   source, whole-file vs out-of-core chunked, at several Spambase
-//!   scales. The two arms are bit-identical (`content_digest`-pinned
-//!   in the sim tests and the `ingest` example); this measures what
-//!   the identity costs.
+//!   source at the default chunk size, at several Spambase scales:
+//!   scan, parallel parse and scatter into the split, then scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use poisongame_bench::bench_dataset;
@@ -84,24 +82,16 @@ fn bench_prepare(c: &mut Criterion) {
     group.sample_size(10);
     for rows in [4601usize, 4601 * 8] {
         let (path, _text, checksum) = fixture(rows);
-        let source = |chunk_rows: Option<usize>| DataSource::File {
+        let source = DataSource::File {
             path: path.display().to_string(),
             checksum: Some(checksum),
             format: "spambase".to_string(),
-            chunk_rows,
-            max_inflight_chunks: chunk_rows.map(|_| 4),
+            chunk_rows: None,
+            max_inflight_chunks: None,
         };
-        group.bench_with_input(BenchmarkId::new("whole", rows), &rows, |b, _| {
+        group.bench_with_input(BenchmarkId::new("file", rows), &rows, |b, _| {
             b.iter(|| {
-                let prepared =
-                    prepare_data(&source(None), 20190607, 0.3).expect("prepare succeeds");
-                black_box(prepared.train.len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("chunked4096", rows), &rows, |b, _| {
-            b.iter(|| {
-                let prepared =
-                    prepare_data(&source(Some(4096)), 20190607, 0.3).expect("prepare succeeds");
+                let prepared = prepare_data(&source, 20190607, 0.3).expect("prepare succeeds");
                 black_box(prepared.train.len())
             })
         });

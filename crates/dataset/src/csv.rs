@@ -1,113 +1,29 @@
-//! CSV input/output in the UCI Spambase layout.
+//! CSV output in the UCI Spambase layout.
 //!
 //! Each record is `f_1,…,f_d,label` where `label` is `1` (spam) or `0`
-//! (ham). No header. This is exactly the format of
-//! `spambase.data`, so the real UCI file can be dropped into any
-//! experiment in place of the synthetic generator.
+//! (ham). No header. This is exactly the format of `spambase.data`,
+//! so written fixtures read back through `poisongame-io`'s strict
+//! chunked reader — the workspace's one CSV parser — like the real
+//! UCI file.
 
 use crate::dataset::Dataset;
-use crate::error::DataError;
-use crate::label::Label;
 
-/// Parse Spambase-format CSV text into a dataset.
-///
-/// Blank lines and lines starting with `#` are skipped. The label is
-/// the final column; any finite non-zero value is treated as positive
-/// (non-finite labels are rejected, like non-finite features).
-///
-/// # Errors
-///
-/// Returns [`DataError::Parse`] (with a 1-based line number) for
-/// malformed records, [`DataError::Empty`] if no data lines exist.
+/// Serialize a dataset into Spambase-format CSV, one newline-terminated
+/// record per row. Floats keep 17 significant digits, so reading the
+/// text back is bit-exact.
 ///
 /// # Example
 ///
 /// ```
-/// use poisongame_data::csv::parse_csv;
+/// use poisongame_data::csv::to_csv;
+/// use poisongame_data::{Dataset, Label};
 ///
-/// let text = "0.1,0.2,1\n0.3,0.4,0\n";
-/// let d = parse_csv(text).unwrap();
-/// assert_eq!(d.len(), 2);
-/// assert_eq!(d.dim(), 2);
-/// ```
-pub fn parse_csv(text: &str) -> Result<Dataset, DataError> {
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels: Vec<Label> = Vec::new();
-    let mut width: Option<usize> = None;
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() < 2 {
-            return Err(DataError::Parse {
-                line: lineno + 1,
-                message: format!("expected at least 2 fields, found {}", fields.len()),
-            });
-        }
-        if let Some(w) = width {
-            if fields.len() - 1 != w {
-                return Err(DataError::Parse {
-                    line: lineno + 1,
-                    message: format!("expected {} feature columns, found {}", w, fields.len() - 1),
-                });
-            }
-        } else {
-            width = Some(fields.len() - 1);
-        }
-
-        let mut row = Vec::with_capacity(fields.len() - 1);
-        for f in &fields[..fields.len() - 1] {
-            let v: f64 = f.parse().map_err(|_| DataError::Parse {
-                line: lineno + 1,
-                message: format!("invalid float {f:?}"),
-            })?;
-            if !v.is_finite() {
-                return Err(DataError::Parse {
-                    line: lineno + 1,
-                    message: format!("non-finite feature {v}"),
-                });
-            }
-            row.push(v);
-        }
-        let label_field = fields[fields.len() - 1];
-        let label_value: f64 = label_field.parse().map_err(|_| DataError::Parse {
-            line: lineno + 1,
-            message: format!("invalid label {label_field:?}"),
-        })?;
-        if !label_value.is_finite() {
-            // A literal `nan`/`inf` parses as a float but names no
-            // 0/1 class — reject it with the same strictness the
-            // feature columns get.
-            return Err(DataError::Parse {
-                line: lineno + 1,
-                message: format!("non-finite label {label_value}"),
-            });
-        }
-        labels.push(if label_value != 0.0 {
-            Label::Positive
-        } else {
-            Label::Negative
-        });
-        rows.push(row);
-    }
-
-    Dataset::from_rows(rows, labels)
-}
-
-/// Serialize a dataset back into Spambase-format CSV.
-///
-/// # Example
-///
-/// ```
-/// use poisongame_data::csv::{parse_csv, to_csv};
-///
-/// let text = "0.5,1.5,1\n2.5,3.5,0\n";
-/// let d = parse_csv(text).unwrap();
-/// let round = parse_csv(&to_csv(&d)).unwrap();
-/// assert_eq!(round, d);
+/// let d = Dataset::from_rows(
+///     vec![vec![0.5, 1.0], vec![2.0, 3.0]],
+///     vec![Label::Positive, Label::Negative],
+/// )
+/// .unwrap();
+/// assert_eq!(to_csv(&d), "5.00000000000000000e-1,1,1\n2,3,0\n");
 /// ```
 pub fn to_csv(data: &Dataset) -> String {
     let mut out = String::new();
@@ -128,107 +44,5 @@ fn format_float(v: f64) -> String {
         format!("{}", v as i64)
     } else {
         format!("{v:.17e}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_basic_file() {
-        let d = parse_csv("1.5,2.5,1\n0,0,0\n").unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.dim(), 2);
-        assert_eq!(d.label(0), Label::Positive);
-        assert_eq!(d.label(1), Label::Negative);
-        assert_eq!(d.point(0), &[1.5, 2.5]);
-    }
-
-    #[test]
-    fn skips_blank_and_comment_lines() {
-        let d = parse_csv("# header comment\n\n1,2,1\n\n# trailing\n3,4,0\n").unwrap();
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn rejects_ragged_rows_with_line_number() {
-        let e = parse_csv("1,2,1\n1,2,3,0\n").unwrap_err();
-        match e {
-            DataError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_bad_float_and_bad_label() {
-        assert!(matches!(
-            parse_csv("a,2,1\n").unwrap_err(),
-            DataError::Parse { line: 1, .. }
-        ));
-        assert!(matches!(
-            parse_csv("1,2,x\n").unwrap_err(),
-            DataError::Parse { line: 1, .. }
-        ));
-        assert!(matches!(
-            parse_csv("inf,2,1\n").unwrap_err(),
-            DataError::Parse { line: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_too_few_fields() {
-        assert!(matches!(
-            parse_csv("42\n").unwrap_err(),
-            DataError::Parse { line: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn empty_input_is_an_error() {
-        assert!(matches!(parse_csv("").unwrap_err(), DataError::Empty));
-        assert!(matches!(
-            parse_csv("# only comments\n").unwrap_err(),
-            DataError::Empty
-        ));
-    }
-
-    #[test]
-    fn nonzero_label_is_positive() {
-        let d = parse_csv("1,2,0.5\n").unwrap();
-        assert_eq!(d.label(0), Label::Positive);
-    }
-
-    #[test]
-    fn non_finite_label_is_rejected() {
-        for bad in ["nan", "NaN", "inf", "-inf"] {
-            let text = format!("1,2,{bad}\n");
-            assert!(
-                matches!(
-                    parse_csv(&text).unwrap_err(),
-                    DataError::Parse { line: 1, .. }
-                ),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn round_trip_preserves_values() {
-        let d = parse_csv("0.125,3,1\n7,0.333333333333333314829616256247,0\n").unwrap();
-        let back = parse_csv(&to_csv(&d)).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn real_spambase_first_record_parses() {
-        // Verbatim first record of the UCI spambase.data file.
-        let line = "0,0.64,0.64,0,0.32,0,0,0,0,0,0,0.64,0,0,0,0.32,0,1.29,1.93,0,0.96,\
-                    0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0.778,\
-                    0,0,3.756,61,278,1";
-        let d = parse_csv(line).unwrap();
-        assert_eq!(d.dim(), 57);
-        assert_eq!(d.label(0), Label::Positive);
-        assert_eq!(d.point(0)[56], 278.0);
     }
 }

@@ -1,9 +1,9 @@
-//! Error type for dataset construction and IO.
+//! Error type for dataset construction, splitting and scaling.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building, splitting or parsing datasets.
+/// Errors produced while building, splitting or scaling datasets.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DataError {
@@ -23,13 +23,6 @@ pub enum DataError {
         /// Offending value.
         value: f64,
     },
-    /// A CSV record could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Explanation of the failure.
-        message: String,
-    },
     /// A split would leave one side without any points.
     DegenerateSplit,
     /// One of the two classes has no examples but the operation needs
@@ -48,9 +41,6 @@ impl fmt::Display for DataError {
             DataError::Empty => write!(f, "dataset is empty"),
             DataError::BadFraction { what, value } => {
                 write!(f, "fraction `{what}` out of range: {value}")
-            }
-            DataError::Parse { line, message } => {
-                write!(f, "parse error on line {line}: {message}")
             }
             DataError::DegenerateSplit => write!(f, "split leaves an empty side"),
             DataError::MissingClass => write!(f, "dataset lacks one of the two classes"),
@@ -90,12 +80,6 @@ mod tests {
         }
         .to_string()
         .contains("test_fraction"));
-        assert!(DataError::Parse {
-            line: 7,
-            message: "bad float".into()
-        }
-        .to_string()
-        .contains("line 7"));
         assert!(DataError::DegenerateSplit
             .to_string()
             .contains("empty side"));

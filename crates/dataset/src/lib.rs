@@ -1,7 +1,7 @@
 //! Dataset abstractions for the poisoning-game reproduction.
 //!
 //! Provides the [`Dataset`] container (dense features + binary labels),
-//! CSV input/output in the UCI Spambase layout, seeded train/test
+//! CSV output in the UCI Spambase layout, seeded train/test
 //! splitting, feature scaling, and — because the UCI file cannot be
 //! downloaded in the build environment — a synthetic generator that
 //! reproduces the Spambase schema and its statistical regime (see

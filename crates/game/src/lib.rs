@@ -36,13 +36,11 @@
 
 pub mod error;
 pub mod fictitious;
-pub mod linsys;
 pub mod matrix_game;
 pub mod multiplicative;
 pub mod simplex;
 pub mod solver;
 pub mod strategy;
-pub mod support_enum;
 
 pub use error::GameError;
 pub use fictitious::{solve_fictitious_play, FictitiousPlayConfig};

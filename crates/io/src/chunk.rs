@@ -8,19 +8,18 @@
 //! effect, so one streaming pass yields both the parsed rows *and* the
 //! checksum a [`crate::FileSource`] validates against.
 //!
-//! Line semantics match `poisongame_data::csv::parse_csv` — blank
-//! lines and `#` comments are skipped, fields are trimmed, the last
-//! field is the label — with three strictness additions: CSV quoting
-//! is rejected (the Spambase layout has none), physical lines beyond
-//! [`IngestLimits::max_line_bytes`] are rejected up front (the
+//! This is the workspace's one CSV parser. Blank lines and `#`
+//! comments are skipped, fields are trimmed, and the last field is the
+//! label (any finite non-zero value is positive). It is strict: CSV
+//! quoting is rejected (the Spambase layout has none), physical lines
+//! beyond [`IngestLimits::max_line_bytes`] are rejected up front (the
 //! ingestion analogue of the serve tier's frame cap), and a final data
 //! row without a terminating newline is rejected as a truncated
 //! source.
 
 use crate::error::IngestError;
 use poisongame_data::cache::ContentHash;
-use poisongame_data::csv::parse_csv as whole_parse_csv;
-use poisongame_data::{Dataset, Label};
+use poisongame_data::Label;
 use std::io::BufRead;
 
 /// Default cap on one physical line, in bytes. A real Spambase row is
@@ -31,7 +30,8 @@ use std::io::BufRead;
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Default rows per chunk for callers that stream without an explicit
-/// chunk size (the whole-file reader's internal granularity).
+/// chunk size (a file source with no `chunk_rows`, every `csv_text`
+/// source, and the [`scan`] pass).
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// Structural limits enforced while reading, before any field parsing.
@@ -437,42 +437,6 @@ pub fn parse_chunk(
     Ok(parsed)
 }
 
-/// Materialize a whole source through the strict streaming reader:
-/// every row parsed, the full [`ScanSummary`] (checksum included)
-/// observed in one pass. The small-file path of a file source — and
-/// the reference the chunked out-of-core path is pinned bit-identical
-/// against.
-///
-/// # Errors
-///
-/// Structural and per-line errors as in [`ChunkReader::next_chunk`]
-/// and [`parse_chunk`], plus [`IngestError::Empty`] for a source with
-/// no data rows.
-pub fn read_dataset<R: BufRead>(
-    reader: R,
-    expected_cols: Option<usize>,
-    limits: &IngestLimits,
-) -> Result<(Dataset, ScanSummary), IngestError> {
-    let mut chunks = ChunkReader::new(reader, DEFAULT_CHUNK_ROWS, limits.clone())?;
-    let mut text = String::new();
-    let mut cols = expected_cols;
-    while let Some(chunk) = chunks.next_chunk()? {
-        // Validate with the strict chunk parser (structured errors,
-        // pinned width), but materialize via the same whole-text parse
-        // the CsvText source uses so both construction paths share
-        // one proven code path.
-        let parsed = parse_chunk(&chunk, cols)?;
-        cols = Some(parsed.cols);
-        text.push_str(&chunk.text);
-    }
-    let summary = chunks.summary();
-    if summary.rows == 0 {
-        return Err(IngestError::Empty);
-    }
-    let dataset = whole_parse_csv(&text).map_err(|e| IngestError::Read(e.to_string()))?;
-    Ok((dataset, summary))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,16 +489,6 @@ mod tests {
                 found: 3
             }
         ));
-    }
-
-    #[test]
-    fn read_dataset_matches_parse_csv() {
-        let text = "0.5,1.5,1\n2.5,3.5,0\n";
-        let (dataset, summary) =
-            read_dataset(text.as_bytes(), None, &IngestLimits::default()).unwrap();
-        assert_eq!(dataset, whole_parse_csv(text).unwrap());
-        assert_eq!(summary.rows, 2);
-        assert_eq!(summary.checksum, checksum_bytes(text.as_bytes()));
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Record sources: where dataset bytes come from.
 //!
-//! A [`RecordSource`] yields a byte stream (or reports itself absent),
-//! plus the registered [`Format`] describing its schema. The first
-//! implementation is [`FileSource`] — open a path, validate its FNV
-//! content checksum against a pinned value, and degrade *absent* (not
-//! corrupt) files to `Ok(None)` so callers can fall back
-//! deterministically to the synthetic generator and CI stays green
-//! offline.
+//! A [`FileSource`] opens a path, validates its FNV content checksum
+//! against a pinned value, and degrades *absent* (not corrupt) files
+//! to `Ok(None)` so callers can fall back deterministically to the
+//! synthetic generator and CI stays green offline. The registered
+//! [`Format`] describes its schema.
 
 use crate::chunk::{scan, IngestLimits, ScanSummary};
 use crate::error::IngestError;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// A registered source schema: the feature width the strict reader
@@ -61,27 +59,6 @@ pub fn lookup_format(name: &str) -> Result<Format, IngestError> {
         })
 }
 
-/// A source of raw dataset bytes.
-///
-/// `open` returning `Ok(None)` means the source is *absent* (e.g. the
-/// file was never downloaded) — callers fall back to the synthetic
-/// generator. Corruption (checksum mismatch, I/O failure mid-read) is
-/// an `Err`, never a silent fallback.
-pub trait RecordSource {
-    /// Human-readable identity for errors and telemetry (usually the
-    /// path).
-    fn describe(&self) -> String;
-    /// The schema this source carries.
-    fn format(&self) -> Format;
-    /// Open the byte stream, or `Ok(None)` if the source is absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IngestError::Read`] when the source exists but
-    /// cannot be opened.
-    fn open(&self) -> Result<Option<Box<dyn Read + Send>>, IngestError>;
-}
-
 /// A checksummed file on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSource {
@@ -112,6 +89,33 @@ impl FileSource {
     /// The pinned checksum, if any.
     pub fn expected_checksum(&self) -> Option<u64> {
         self.expected_checksum
+    }
+
+    /// Human-readable identity for errors and telemetry (the path).
+    pub fn describe(&self) -> String {
+        self.path.display().to_string()
+    }
+
+    /// The schema this source carries.
+    pub fn format(&self) -> Format {
+        self.format
+    }
+
+    /// Open the byte stream, or `Ok(None)` if the file is absent (e.g.
+    /// never downloaded) — callers fall back to the synthetic
+    /// generator. Corruption (checksum mismatch, I/O failure
+    /// mid-read) is an `Err`, never a silent fallback.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IngestError::Read`] when the file exists but cannot
+    /// be opened.
+    pub fn open(&self) -> Result<Option<File>, IngestError> {
+        match File::open(&self.path) {
+            Ok(file) => Ok(Some(file)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(IngestError::Read(format!("{}: {e}", self.path.display()))),
+        }
     }
 
     /// One structural pass over the file: row count, byte count and
@@ -151,24 +155,6 @@ impl FileSource {
                 })
             }
             _ => Ok(()),
-        }
-    }
-}
-
-impl RecordSource for FileSource {
-    fn describe(&self) -> String {
-        self.path.display().to_string()
-    }
-
-    fn format(&self) -> Format {
-        self.format
-    }
-
-    fn open(&self) -> Result<Option<Box<dyn Read + Send>>, IngestError> {
-        match File::open(&self.path) {
-            Ok(file) => Ok(Some(Box::new(file))),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(IngestError::Read(format!("{}: {e}", self.path.display()))),
         }
     }
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 pub const IO_ROWS_FAMILY: &str = "poisongame_io_rows_total";
 /// Raw bytes consumed from record sources (newlines included).
 pub const IO_BYTES_FAMILY: &str = "poisongame_io_bytes_total";
-/// Chunks parsed (whole-file and out-of-core paths both count).
+/// Chunks parsed (file and `csv_text` preparation both count).
 pub const IO_CHUNKS_FAMILY: &str = "poisongame_io_chunks_total";
 /// Per-chunk parse latency in nanoseconds.
 pub const IO_PARSE_FAMILY: &str = "poisongame_io_parse_nanos";

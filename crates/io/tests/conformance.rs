@@ -3,21 +3,41 @@
 //! variant, and every accepted edge case (CRLF, trailing newline,
 //! comments) parses identically to the canonical form.
 
+use poisongame_data::csv::to_csv;
+use poisongame_data::{Dataset, Label};
 use poisongame_io::{
-    checksum_bytes, parse_chunk, read_dataset, scan, ChunkReader, IngestError, IngestLimits,
+    checksum_bytes, parse_chunk, scan, ChunkReader, IngestError, IngestLimits, SPAMBASE,
 };
 
-fn read_all(text: &str) -> Result<(), IngestError> {
-    read_dataset(text.as_bytes(), None, &IngestLimits::default()).map(|_| ())
+/// Every row of a source, drained through the reader and parsed with
+/// the width carried across chunks: `(cols, features, labels)`.
+type Rows = (usize, Vec<f64>, Vec<Label>);
+
+fn read_with(
+    text: &str,
+    expected_cols: Option<usize>,
+    limits: &IngestLimits,
+) -> Result<Rows, IngestError> {
+    let mut reader = ChunkReader::new(text.as_bytes(), 3, limits.clone())?;
+    let (mut cols, mut features, mut labels) = (expected_cols, Vec::new(), Vec::new());
+    while let Some(chunk) = reader.next_chunk()? {
+        let parsed = parse_chunk(&chunk, cols)?;
+        cols = Some(parsed.cols);
+        features.extend(parsed.features);
+        labels.extend(parsed.labels);
+    }
+    Ok((cols.unwrap_or(0), features, labels))
+}
+
+fn read_all(text: &str) -> Result<Rows, IngestError> {
+    read_with(text, None, &IngestLimits::default())
 }
 
 #[test]
 fn crlf_and_lf_parse_identically() {
     let lf = "1,2,1\n3,4,0\n";
     let crlf = "1,2,1\r\n3,4,0\r\n";
-    let (a, _) = read_dataset(lf.as_bytes(), None, &IngestLimits::default()).unwrap();
-    let (b, _) = read_dataset(crlf.as_bytes(), None, &IngestLimits::default()).unwrap();
-    assert_eq!(a, b);
+    assert_eq!(read_all(lf).unwrap(), read_all(crlf).unwrap());
     // The checksum covers raw bytes, so the two framings are distinct
     // *sources* even though they parse to the same dataset.
     assert_ne!(
@@ -50,16 +70,60 @@ fn quoted_fields_are_rejected() {
 }
 
 #[test]
-fn empty_file_is_its_own_error() {
-    assert!(matches!(read_all("").unwrap_err(), IngestError::Empty));
-    assert!(matches!(
-        read_all("# only comments\n\n").unwrap_err(),
-        IngestError::Empty
-    ));
-    // But an empty *scan* succeeds — absence of rows is the caller's
-    // decision at the preparation layer.
-    let summary = scan("".as_bytes(), &IngestLimits::default()).unwrap();
-    assert_eq!(summary.rows, 0);
+fn empty_source_scans_to_zero_rows() {
+    // An empty scan succeeds — absence of rows is the caller's
+    // decision at the preparation layer, which raises
+    // `IngestError::Empty` (pinned in the sim ingest tests).
+    for text in ["", "# only comments\n\n"] {
+        let summary = scan(text.as_bytes(), &IngestLimits::default()).unwrap();
+        assert_eq!(summary.rows, 0);
+        assert_eq!(read_all(text).unwrap().2, vec![]);
+    }
+}
+
+#[test]
+fn real_spambase_first_record_parses_at_pinned_width() {
+    // Verbatim first record of the UCI spambase.data file.
+    let line = "0,0.64,0.64,0,0.32,0,0,0,0,0,0,0.64,0,0,0,0.32,0,1.29,1.93,0,0.96,\
+                0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0.778,\
+                0,0,3.756,61,278,1\n";
+    let (cols, features, labels) =
+        read_with(line, SPAMBASE.feature_columns, &IngestLimits::default()).unwrap();
+    assert_eq!(cols, 57);
+    assert_eq!(labels, vec![Label::Positive]);
+    assert_eq!(features[56], 278.0);
+}
+
+#[test]
+fn nonzero_label_is_positive() {
+    let (_, _, labels) = read_all("1,2,0.5\n3,4,0\n5,6,-2\n").unwrap();
+    assert_eq!(
+        labels,
+        vec![Label::Positive, Label::Negative, Label::Positive]
+    );
+}
+
+#[test]
+fn to_csv_round_trips_bit_exactly() {
+    let rows = vec![
+        vec![0.125, 3.0],
+        vec![7.0, 0.333_333_333_333_333_3],
+        vec![-1e-300, 6.02214076e23],
+        vec![f64::MIN_POSITIVE, 123_456_789.0],
+    ];
+    let labels = vec![
+        Label::Positive,
+        Label::Negative,
+        Label::Positive,
+        Label::Negative,
+    ];
+    let data = Dataset::from_rows(rows, labels.clone()).unwrap();
+    let (cols, features, back) = read_all(&to_csv(&data)).unwrap();
+    assert_eq!(cols, 2);
+    assert_eq!(back, labels);
+    for (a, b) in features.iter().zip(data.features().as_slice()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+    }
 }
 
 #[test]
@@ -134,7 +198,7 @@ fn oversized_lines_are_rejected_up_front() {
     let limits = IngestLimits { max_line_bytes: 16 };
     let long = format!("{},1\n", "1,".repeat(32));
     assert!(matches!(
-        read_dataset(long.as_bytes(), None, &limits).unwrap_err(),
+        read_with(&long, None, &limits).unwrap_err(),
         IngestError::LineTooLong {
             line: 1,
             cap: 16,
@@ -186,10 +250,10 @@ fn zero_chunk_rows_is_rejected() {
 
 #[test]
 fn every_error_class_is_distinct() {
-    // The suite's point in one assertion: seven malformed inputs,
-    // seven different discriminants.
+    // The suite's point in one assertion: six malformed inputs, six
+    // different discriminants (`Empty` is raised at the preparation
+    // layer).
     let errors = [
-        read_all("").unwrap_err(),
         read_all("1,2,1\n3,4\n").unwrap_err(),
         read_all("1,x,1\n").unwrap_err(),
         read_all("1,2,x\n").unwrap_err(),

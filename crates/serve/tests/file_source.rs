@@ -78,7 +78,8 @@ fn served_file_source_matches_local_pipeline() {
 
     let mut client = Client::connect(addr).expect("connect");
     // The wire request names the *relative* path; the server resolves
-    // it under its data dir. Whole-file and chunked must both match.
+    // it under its data dir. The default and an explicit chunk size
+    // must both match.
     for chunk_rows in [None, Some(64)] {
         let request = file_cell("spam.csv", Some(sum), chunk_rows);
         let got = client.cell(&request).expect("cell");

@@ -97,9 +97,10 @@ impl PrepKey {
                 .f64(*sigma),
             DataSource::CsvText { text } => h.str("csv_text").str(text),
             // `chunk_rows` / `max_inflight_chunks` are execution
-            // knobs, not content: chunked and whole-file preparation
-            // are bit-identical (pinned by `tests/ingest.rs`), so they
-            // share a key — the same precedent as `fused_eval`.
+            // knobs, not content: they only size the chunks and waves
+            // of the one streaming preparation, and every value gives
+            // bit-identical results (pinned by `tests/ingest.rs`), so
+            // they share a key — the same precedent as `fused_eval`.
             //
             // Caveat: with `checksum: None` the key sees only
             // (path, format) — the cache cannot observe the file's

@@ -1,30 +1,34 @@
-//! Out-of-core file-source preparation.
+//! Streaming dataset preparation.
 //!
-//! The [`crate::pipeline::DataSource::File`] arm of `prepare_data`
-//! lands here. Three outcomes:
+//! Every parsed source is prepared by one routine: a present
+//! [`crate::pipeline::DataSource::File`] and every
+//! [`crate::pipeline::DataSource::CsvText`] stream through the same
+//! two-pass scatter. A file source has two outcomes:
 //!
 //! * **Absent file** → deterministic fallback to the synthetic
 //!   Spambase generator (CI stays green offline; the caller consumes
 //!   the *same* rng stream the `SyntheticSpambase` arm would).
-//! * **Whole-file mode** (`chunk_rows` unset) → stream the file once
-//!   through the strict reader into a `Dataset`, validate the
-//!   checksum, then hand back to the classic split/scale path.
-//! * **Chunked mode** (`chunk_rows` set) → two streaming passes. Pass
-//!   1 counts rows and pins the checksum; the split permutation is
-//!   then computed *up front* from the row count alone, so pass 2 can
-//!   scatter each parsed chunk directly into its final train/test
-//!   position and drop it. Peak extra memory is bounded by
+//! * **Present file** → two streaming passes. Pass 1 counts rows and
+//!   pins the checksum; the split permutation is then computed *up
+//!   front* from the row count alone, so pass 2 can parse chunks in
+//!   waves on the worker pool and scatter each row directly into its
+//!   final train/test position. Peak extra memory is bounded by
 //!   `max_inflight_chunks × chunk_rows` raw rows — the backpressure
 //!   budget — while the destination matrices are exactly the
 //!   preparation's output, so a dataset ~100× the resident Spambase
 //!   size preps in bounded space.
 //!
-//! **Bit-identity.** Chunked mode reproduces whole-file preparation
+//! A `csv_text` source takes the same two passes over its in-memory
+//! text, with the default chunk sizes.
+//!
+//! **Bit-identity.** The scatter reproduces in-memory preparation
 //! exactly: the same `shuffled_indices` draw from the same rng state
 //! decides the split, scattering row `idx[j]` to position `j`
 //! reproduces `Dataset::select`'s row order, and the in-place scaler
 //! applies the same per-element arithmetic as the copying transform.
-//! `tests/ingest.rs` pins this with `to_bits` comparisons.
+//! `tests/ingest.rs` pins this with `to_bits` comparisons against a
+//! `train_test_split` + `StandardScaler::fit_transform` replay, for
+//! every chunk size.
 
 use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
@@ -32,11 +36,12 @@ use crate::pipeline::PreparedData;
 use poisongame_data::scale::StandardScaler;
 use poisongame_data::{DataError, Dataset, Label};
 use poisongame_io::{
-    parse_chunk, read_dataset, FileSource, IngestError, IngestLimits, RecordSource,
+    parse_chunk, scan, ChunkReader, FileSource, IngestError, IngestLimits, ScanSummary,
+    DEFAULT_CHUNK_ROWS, GENERIC_CSV,
 };
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::Matrix;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 
 /// Default bound on chunks admitted to the parse fan-out at once —
 /// the out-of-core memory budget in units of `chunk_rows` raw rows.
@@ -44,18 +49,16 @@ pub const DEFAULT_MAX_INFLIGHT_CHUNKS: usize = 4;
 
 /// What a file source resolved to.
 pub(crate) enum Loaded {
-    /// Chunked mode ran to completion — the preparation is already
-    /// split and scaled.
+    /// The file was present — the preparation is already split and
+    /// scaled.
     Prepared(PreparedData),
-    /// Whole-file mode — the caller splits and scales as usual.
-    Full(Dataset),
     /// The file is absent — generate this many synthetic rows.
     Fallback(usize),
 }
 
-/// Resolve a file source (see the module docs for the three
-/// outcomes). `rng` is consumed only by the chunked path's split
-/// draw, mirroring `train_test_split` exactly.
+/// Resolve a file source (see the module docs for the two outcomes).
+/// `chunk_rows` and `max_inflight_chunks` only size the chunks and
+/// waves (`None` takes the defaults); they never change the result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn load_file(
     path: &str,
@@ -75,24 +78,68 @@ pub(crate) fn load_file(
     let format = poisongame_io::lookup_format(format_name)?;
     let source = FileSource::new(path, checksum, format);
     let limits = IngestLimits::default();
-    let Some(per_chunk) = chunk_rows else {
-        // Whole-file mode: one streaming pass, checksum validated
-        // against what that pass actually read.
-        let Some(reader) = source.open()? else {
-            poisongame_io::telemetry::note_fallback(path);
-            return Ok(Loaded::Fallback(format.fallback_rows));
-        };
-        let (dataset, summary) =
-            read_dataset(BufReader::new(reader), format.feature_columns, &limits)?;
-        source.verify(summary.checksum)?;
-        return Ok(Loaded::Full(dataset));
-    };
-    // Chunked mode, pass 1: rows + checksum without materializing
-    // anything.
+    // Pass 1: rows + checksum without materializing anything.
     let Some(scan) = source.scan_verified(&limits)? else {
         poisongame_io::telemetry::note_fallback(path);
         return Ok(Loaded::Fallback(format.fallback_rows));
     };
+    prepare_stream(
+        path,
+        scan,
+        // The file vanishing before pass 2 is corruption, not a
+        // fallback: `prepare_stream` reports `None` as a changed
+        // source.
+        || Ok(source.open()?.map(BufReader::new)),
+        format.feature_columns,
+        chunk_rows.unwrap_or(DEFAULT_CHUNK_ROWS),
+        max_inflight_chunks.unwrap_or(DEFAULT_MAX_INFLIGHT_CHUNKS),
+        test_fraction,
+        rng,
+    )
+    .map(Loaded::Prepared)
+}
+
+/// Prepare an inline `csv_text` document through the same two passes
+/// as a file, reading it with the width-inferring `csv` format.
+pub(crate) fn load_csv_text(
+    text: &str,
+    test_fraction: f64,
+    rng: &mut Xoshiro256StarStar,
+) -> Result<PreparedData, SimError> {
+    // A `csv_text` document is complete — it cannot have been cut off
+    // mid-write the way a file can — so its last row may lack a
+    // newline. One chained `\n` terminates that row; a text that
+    // already ends in a newline only gains a blank line, which the
+    // reader skips.
+    let bytes = || text.as_bytes().chain(&b"\n"[..]);
+    let scan = scan(bytes(), &IngestLimits::default())?;
+    prepare_stream(
+        "csv_text",
+        scan,
+        || Ok(Some(bytes())),
+        GENERIC_CSV.feature_columns,
+        DEFAULT_CHUNK_ROWS,
+        DEFAULT_MAX_INFLIGHT_CHUNKS,
+        test_fraction,
+        rng,
+    )
+}
+
+/// The one scatter routine. `scan` is pass 1's summary of the source;
+/// `reopen` yields the same bytes again for pass 2 (`None` means the
+/// source disappeared in between). `rng` is consumed only by the split
+/// draw, mirroring `train_test_split` exactly.
+#[allow(clippy::too_many_arguments)]
+fn prepare_stream<R: BufRead>(
+    name: &str,
+    scan: ScanSummary,
+    reopen: impl FnOnce() -> Result<Option<R>, IngestError>,
+    feature_columns: Option<usize>,
+    chunk_rows: usize,
+    max_inflight_chunks: usize,
+    test_fraction: f64,
+    rng: &mut Xoshiro256StarStar,
+) -> Result<PreparedData, SimError> {
     let n = scan.rows;
     if n == 0 {
         return Err(IngestError::Empty.into());
@@ -129,28 +176,30 @@ pub(crate) fn load_file(
     let n_train = n - n_test;
     let changed = || -> SimError {
         IngestError::SourceChanged {
-            source: path.to_string(),
+            source: name.to_string(),
         }
         .into()
     };
-    // Pass 2: re-open (the file vanishing now is corruption, not a
-    // fallback) and scatter bounded waves of parsed chunks into their
-    // final positions.
-    let Some(reader) = source.open()? else {
+    // Pass 2: re-open and scatter bounded waves of parsed chunks into
+    // their final positions.
+    let Some(reader) = reopen()? else {
         return Err(changed());
     };
-    let mut chunks = poisongame_io::ChunkReader::new(BufReader::new(reader), per_chunk, limits)?;
+    let mut chunks = ChunkReader::new(reader, chunk_rows, IngestLimits::default())?;
     let policy = ExecPolicy::default();
-    let inflight = max_inflight_chunks.unwrap_or(DEFAULT_MAX_INFLIGHT_CHUNKS);
     let gauge = &poisongame_io::telemetry::metrics().inflight;
-    let mut cols = format.feature_columns;
+    let mut cols = feature_columns;
     let mut train_x: Option<Matrix> = None;
     let mut test_x: Option<Matrix> = None;
     let mut train_y = vec![Label::Negative; n_train];
     let mut test_y = vec![Label::Negative; n_test];
+    // The wave grows from chunks actually read, never from the
+    // wire-supplied bound, so a huge `max_inflight_chunks` costs no
+    // more than the source holds.
+    let mut wave = Vec::new();
     loop {
-        let mut wave = Vec::with_capacity(inflight);
-        while wave.len() < inflight {
+        wave.clear();
+        while wave.len() < max_inflight_chunks {
             match chunks.next_chunk()? {
                 Some(chunk) => wave.push(chunk),
                 None => break,
@@ -222,14 +271,15 @@ pub(crate) fn load_file(
     };
     let mut train = Dataset::new(train_x, train_y)?;
     let mut test = Dataset::new(test_x, test_y)?;
-    // Same fit as the whole-file path (identical rows in identical
-    // order), applied in place with identical per-element arithmetic.
+    // Same fit as `StandardScaler::fit_transform` on the split
+    // (identical rows in identical order), applied in place with
+    // identical per-element arithmetic.
     let scaler = StandardScaler::fit(&train)?;
     scaler.transform_in_place(&mut train)?;
     scaler.transform_in_place(&mut test)?;
-    Ok(Loaded::Prepared(PreparedData {
+    Ok(PreparedData {
         train,
         test,
         scaler,
-    }))
+    })
 }

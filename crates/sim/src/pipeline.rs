@@ -43,7 +43,9 @@ pub enum DataSource {
         /// Isotropic standard deviation.
         sigma: f64,
     },
-    /// A verbatim Spambase-format CSV (drop-in for the real UCI file).
+    /// A verbatim Spambase-format CSV (drop-in for the real UCI file),
+    /// width inferred from the first row. Read by the same strict
+    /// streaming parser as `File`; the last row may omit its newline.
     CsvText {
         /// The file contents.
         text: String,
@@ -51,9 +53,8 @@ pub enum DataSource {
     /// A checksummed CSV file on disk, streamed through
     /// `poisongame-io`. An *absent* file falls back deterministically
     /// to the synthetic generator (CI stays green offline); a present
-    /// file is validated against `checksum` and prepped either whole
-    /// or out-of-core (`chunk_rows` set), with bit-identical results
-    /// either way.
+    /// file is validated against `checksum` and always prepped out of
+    /// core, in chunks scattered straight into their train/test rows.
     File {
         /// Path to the CSV (under the server's `--data-dir` when the
         /// spec arrives over the wire).
@@ -63,12 +64,14 @@ pub enum DataSource {
         checksum: Option<u64>,
         /// Registered format name (`"spambase"`, `"csv"`).
         format: String,
-        /// Rows per chunk for out-of-core preparation; `None` reads
-        /// the whole file into memory first.
+        /// Rows per parsed chunk (default
+        /// `poisongame_io::DEFAULT_CHUNK_ROWS`). Only sizes the
+        /// chunks: every value gives bit-identical results.
         chunk_rows: Option<usize>,
         /// Bound on chunks in the parse fan-out at once — the
         /// out-of-core memory budget in units of `chunk_rows` rows
         /// (default [`crate::ingest::DEFAULT_MAX_INFLIGHT_CHUNKS`]).
+        /// Like `chunk_rows`, it never changes the result.
         max_inflight_chunks: Option<usize>,
     },
 }
@@ -583,7 +586,7 @@ impl PreparedData {
     /// FNV-1a digest of both splits — every feature bit and label, in
     /// row order. Two preparations are byte-identical iff their
     /// digests match (up to hash collision), which is how the ingest
-    /// smoke pins chunked ≡ whole-file without holding both in memory.
+    /// smoke pins two chunk sizes equal without holding both in memory.
     pub fn content_digest(&self) -> u64 {
         let mut h = poisongame_data::ContentHash::new();
         for split in [&self.train, &self.test] {
@@ -662,21 +665,31 @@ pub fn prepare_data(
 ) -> Result<PreparedData, SimError> {
     let started = Instant::now();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let full = match source {
-        DataSource::SyntheticSpambase { rows } => spambase_like(
+    let synthetic = |rows: usize, rng: &mut Xoshiro256StarStar| {
+        spambase_like(
             &SpambaseConfig {
-                rows: *rows,
+                rows,
                 ..SpambaseConfig::default()
             },
-            &mut rng,
-        ),
+            rng,
+        )
+    };
+    let prepared = match source {
+        DataSource::SyntheticSpambase { rows } => {
+            split_and_scale(&synthetic(*rows, &mut rng), test_fraction, &mut rng)?
+        }
         DataSource::Blobs {
             per_class,
             dim,
             offset,
             sigma,
-        } => gaussian_blobs(*per_class, *dim, *offset, *sigma, &mut rng),
-        DataSource::CsvText { text } => poisongame_data::csv::parse_csv(text)?,
+        } => {
+            let full = gaussian_blobs(*per_class, *dim, *offset, *sigma, &mut rng);
+            split_and_scale(&full, test_fraction, &mut rng)?
+        }
+        DataSource::CsvText { text } => {
+            crate::ingest::load_csv_text(text, test_fraction, &mut rng)?
+        }
         DataSource::File {
             path,
             checksum,
@@ -692,31 +705,31 @@ pub fn prepare_data(
             test_fraction,
             &mut rng,
         )? {
-            // Chunked mode already split and scaled (bit-identically;
-            // see `crate::ingest`).
-            crate::ingest::Loaded::Prepared(prepared) => {
-                crate::timing::record_prep(started.elapsed());
-                return Ok(prepared);
-            }
-            crate::ingest::Loaded::Full(dataset) => dataset,
+            crate::ingest::Loaded::Prepared(prepared) => prepared,
             // Absent file: generate exactly what the
             // `SyntheticSpambase` arm would, from the same rng state.
-            crate::ingest::Loaded::Fallback(rows) => spambase_like(
-                &SpambaseConfig {
-                    rows,
-                    ..SpambaseConfig::default()
-                },
-                &mut rng,
-            ),
+            crate::ingest::Loaded::Fallback(rows) => {
+                split_and_scale(&synthetic(rows, &mut rng), test_fraction, &mut rng)?
+            }
         },
     };
-    let (train_raw, test_raw) = train_test_split(&full, test_fraction, &mut rng)?;
+    crate::timing::record_prep(started.elapsed());
+    Ok(prepared)
+}
+
+/// Split a generated dataset with `rng` and scale both sides with the
+/// scaler fitted on the training split.
+fn split_and_scale(
+    full: &Dataset,
+    test_fraction: f64,
+    rng: &mut Xoshiro256StarStar,
+) -> Result<PreparedData, SimError> {
+    let (train_raw, test_raw) = train_test_split(full, test_fraction, rng)?;
     // Z-scoring (not min-max): it stabilizes SGD while *preserving* the
     // heavy right tails of the capital-run columns, which carry the
     // distance geometry the radius filter and the game model live on.
     let (train, scaler) = StandardScaler::fit_transform(&train_raw)?;
     let test = scaler.transform(&test_raw)?;
-    crate::timing::record_prep(started.elapsed());
     Ok(PreparedData {
         train,
         test,

@@ -1,15 +1,20 @@
-//! File-source preparation: the out-of-core path is pinned
-//! bit-identical to whole-file preparation, the absent-file fallback
-//! reproduces the synthetic arm exactly, and corruption is a
-//! structured error — never a silent fallback.
+//! Streaming preparation: every chunk size reproduces an in-memory
+//! split-and-scale replay bit for bit, the absent-file fallback
+//! reproduces the synthetic arm exactly, `csv_text` shares the file
+//! path, and corruption is a structured error — never a silent
+//! fallback.
 
 use poisongame_data::csv::to_csv;
+use poisongame_data::scale::StandardScaler;
+use poisongame_data::split::train_test_split;
 use poisongame_data::synth::{spambase_like, SpambaseConfig};
-use poisongame_io::checksum_bytes;
-use poisongame_linalg::Xoshiro256StarStar;
+use poisongame_data::Dataset;
+use poisongame_io::{checksum_bytes, parse_chunk, ChunkReader, IngestError, IngestLimits};
+use poisongame_linalg::{Matrix, Xoshiro256StarStar};
 use poisongame_sim::error::SimError;
-use poisongame_sim::pipeline::{prepare_data, DataSource};
+use poisongame_sim::pipeline::{prepare_data, DataSource, ExperimentConfig, PreparedData};
 use rand::SeedableRng;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// A fresh temp directory for one test (process id + test name keeps
@@ -46,33 +51,67 @@ fn file_source(path: &Path, checksum: Option<u64>, chunk_rows: Option<usize>) ->
     }
 }
 
+/// The in-memory reference: drain the strict reader, build the whole
+/// dataset, then split and scale it the way the synthetic arms of
+/// `prepare_data` do.
+fn replay_prepare(path: &Path, seed: u64, test_fraction: f64) -> PreparedData {
+    let file = std::fs::File::open(path).unwrap();
+    let mut reader = ChunkReader::new(BufReader::new(file), 4096, IngestLimits::default()).unwrap();
+    let (mut features, mut labels) = (Vec::new(), Vec::new());
+    let mut cols = Some(57);
+    while let Some(chunk) = reader.next_chunk().unwrap() {
+        let parsed = parse_chunk(&chunk, cols).unwrap();
+        cols = Some(parsed.cols);
+        features.extend_from_slice(&parsed.features);
+        labels.extend_from_slice(&parsed.labels);
+    }
+    let full = Dataset::new(
+        Matrix::from_vec(labels.len(), cols.unwrap(), features).unwrap(),
+        labels,
+    )
+    .unwrap();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let (train_raw, test_raw) = train_test_split(&full, test_fraction, &mut rng).unwrap();
+    let (train, scaler) = StandardScaler::fit_transform(&train_raw).unwrap();
+    let test = scaler.transform(&test_raw).unwrap();
+    PreparedData {
+        train,
+        test,
+        scaler,
+    }
+}
+
 #[test]
-fn chunked_preparation_is_bit_identical_to_whole_file() {
+fn streamed_preparation_is_bit_identical_to_in_memory_replay() {
     let (path, sum) = write_dataset("bitident", 400);
-    let whole = prepare_data(&file_source(&path, Some(sum), None), 20190607, 0.3).unwrap();
-    // Chunk sizes that divide the row count, don't, and degenerate to
-    // row-at-a-time — all must reproduce the whole-file bytes.
-    for chunk_rows in [1, 64, 100, 117, 4096] {
-        let chunked = prepare_data(
-            &file_source(&path, Some(sum), Some(chunk_rows)),
-            20190607,
-            0.3,
-        )
-        .unwrap();
-        assert_eq!(chunked.scaler, whole.scaler, "chunk_rows {chunk_rows}");
-        assert_eq!(chunked.train.labels(), whole.train.labels());
-        assert_eq!(chunked.test.labels(), whole.test.labels());
-        for (split_c, split_w) in [(&chunked.train, &whole.train), (&chunked.test, &whole.test)] {
-            for (a, b) in split_c
+    let reference = replay_prepare(&path, 20190607, 0.3);
+    // The default, row-at-a-time, sizes that don't divide the row
+    // count, and one chunk holding the whole file — all must reproduce
+    // the reference bytes.
+    for chunk_rows in [None, Some(1), Some(7), Some(64), Some(4096)] {
+        let streamed =
+            prepare_data(&file_source(&path, Some(sum), chunk_rows), 20190607, 0.3).unwrap();
+        assert_eq!(
+            streamed.scaler, reference.scaler,
+            "chunk_rows {chunk_rows:?}"
+        );
+        assert_eq!(streamed.train.labels(), reference.train.labels());
+        assert_eq!(streamed.test.labels(), reference.test.labels());
+        for (split_s, split_r) in [
+            (&streamed.train, &reference.train),
+            (&streamed.test, &reference.test),
+        ] {
+            assert_eq!(split_s.len(), split_r.len());
+            for (a, b) in split_s
                 .features()
                 .as_slice()
                 .iter()
-                .zip(split_w.features().as_slice())
+                .zip(split_r.features().as_slice())
             {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunk_rows {chunk_rows}");
+                assert_eq!(a.to_bits(), b.to_bits(), "chunk_rows {chunk_rows:?}");
             }
         }
-        assert_eq!(chunked.content_digest(), whole.content_digest());
+        assert_eq!(streamed.content_digest(), reference.content_digest());
     }
     std::fs::remove_file(&path).ok();
 }
@@ -87,6 +126,57 @@ fn file_source_matches_csv_text_source() {
     let from_text = prepare_data(&DataSource::CsvText { text }, 7, 0.3).unwrap();
     assert_eq!(from_file, from_text);
     assert_eq!(from_file.content_digest(), from_text.content_digest());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn csv_text_final_row_may_lack_a_newline() {
+    // A csv_text document is complete, so an unterminated last row is
+    // a row, not a truncation — unlike the same bytes in a file.
+    let rows: String = (0..20)
+        .map(|i| format!("{i},{},{}\n", i * 2, i % 2))
+        .collect();
+    let terminated = prepare_data(&DataSource::CsvText { text: rows.clone() }, 5, 0.3).unwrap();
+    let bare = rows.trim_end().to_string();
+    let unterminated = prepare_data(&DataSource::CsvText { text: bare }, 5, 0.3).unwrap();
+    assert_eq!(terminated, unterminated);
+    assert_eq!(terminated.train.len() + terminated.test.len(), 20);
+}
+
+#[test]
+fn csv_text_errors_are_structured_ingest_errors() {
+    let text = "1,2,1\n3,\"4\",0\n".to_string();
+    assert!(matches!(
+        prepare_data(&DataSource::CsvText { text }, 5, 0.3),
+        Err(SimError::Ingest(IngestError::Quoted { line: 2 }))
+    ));
+    for text in ["", "# only comments\n\n"] {
+        assert!(matches!(
+            prepare_data(
+                &DataSource::CsvText {
+                    text: text.to_string()
+                },
+                5,
+                0.3
+            ),
+            Err(SimError::Ingest(IngestError::Empty))
+        ));
+    }
+}
+
+#[test]
+fn huge_inflight_bound_from_the_wire_is_harmless() {
+    // The wave used to preallocate `max_inflight_chunks` slots, so
+    // this wire value aborted the process on allocation.
+    let (path, _) = write_dataset("inflight", 40);
+    let json = format!(
+        r#"{{"source":{{"type":"file","path":"{}","chunk_rows":8,"max_inflight_chunks":1000000000000000}}}}"#,
+        path.display()
+    );
+    let config = ExperimentConfig::from_json_str(&json).unwrap();
+    let huge = prepare_data(&config.source, 3, 0.3).unwrap();
+    let default = prepare_data(&file_source(&path, None, None), 3, 0.3).unwrap();
+    assert_eq!(huge, default);
     std::fs::remove_file(&path).ok();
 }
 
@@ -210,7 +300,6 @@ fn degenerate_knobs_are_rejected() {
 
 #[test]
 fn file_source_json_round_trips() {
-    use poisongame_sim::pipeline::ExperimentConfig;
     let (path, sum) = write_dataset("json", 40);
     let config = ExperimentConfig {
         source: file_source(&path, Some(sum), Some(128)),
@@ -263,8 +352,8 @@ fn prep_key_ignores_chunking_knobs() {
         1,
         0.3,
     );
-    // Chunked and whole-file produce bit-identical preparations, so
-    // they must share a cache entry.
+    // Every chunk size produces a bit-identical preparation, so they
+    // must share a cache entry.
     assert_eq!(a, b);
     assert_eq!(a.content_hash(), b.content_hash());
     let other = prep_key(

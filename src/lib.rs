@@ -15,7 +15,7 @@
 //! | [`exec`] | the execution runtime: persistent work-stealing worker pool, write-once result slots |
 //! | [`linalg`] | vectors, statistics, curves, deterministic RNG |
 //! | [`data`] | datasets, CSV IO, splits, scalers, the synthetic Spambase generator |
-//! | [`io`] | streaming ingestion: chunked CSV reader, checksummed file sources, out-of-core preparation support |
+//! | [`io`] | streaming ingestion: the one chunked CSV reader, checksummed file sources, out-of-core preparation support |
 //! | [`ml`] | linear SVM (the paper's victim model), logistic regression, perceptron, metrics |
 //! | [`theory`] | finite zero-sum games: simplex LP, fictitious play, multiplicative weights |
 //! | [`attack`] | boundary / mixed-radius / label-flip / noise poisoning attacks |
