@@ -187,6 +187,18 @@ mod tests {
     }
 
     #[test]
+    fn saddle_game_concentrates_on_the_saddle() {
+        // Row 1 dominates row 0 and column 0 dominates column 1, so
+        // the unique equilibrium is the pure saddle (1, 0), value 2.
+        let g = MatrixGame::from_rows(&[vec![1.0, 3.0], vec![2.0, 4.0]]).unwrap();
+        let sol =
+            solve_multiplicative_weights(&g, &MultiplicativeWeightsConfig::default()).unwrap();
+        assert!((sol.value - 2.0).abs() < 0.02, "value {}", sol.value);
+        assert!(sol.row_strategy.prob(1) > 0.98);
+        assert!(sol.column_strategy.prob(0) > 0.98);
+    }
+
+    #[test]
     fn custom_eta_still_converges() {
         let g = MatrixGame::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap();
         let cfg = MultiplicativeWeightsConfig {

@@ -308,6 +308,22 @@ mod tests {
     }
 
     #[test]
+    fn integer_payoff_games_with_ties_solve_exactly() {
+        // Small integer payoffs repeat values within rows and columns,
+        // which makes degenerate pivots (ties in the ratio test) common.
+        use poisongame_linalg::Xoshiro256StarStar;
+        use rand::SeedableRng;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(31);
+        for _ in 0..8 {
+            let g = MatrixGame::from_fn(4, 4, |_, _| (rng.next_f64() * 10.0).round() - 5.0);
+            let sol = solve_lp(&g).unwrap();
+            assert!(sol.value >= g.pure_maximin() - 1e-9);
+            assert!(sol.value <= g.pure_minimax() + 1e-9);
+            assert_equilibrium(&g, &sol, 1e-9);
+        }
+    }
+
+    #[test]
     fn dominated_strategies_get_zero_probability() {
         // Row 0 strictly dominates row 1.
         let g = MatrixGame::from_rows(&[vec![3.0, 2.0], vec![1.0, 0.0], vec![0.0, 4.0]]).unwrap();

@@ -343,6 +343,28 @@ impl ParsedChunk {
 /// Returns the structured per-line variants of [`IngestError`]
 /// (arity, float, label, finiteness, quoting), each carrying the
 /// original 1-based line number.
+///
+/// # Example
+///
+/// ```
+/// use poisongame_data::Label;
+/// use poisongame_io::{parse_chunk, IngestError, RawChunk};
+///
+/// let chunk = RawChunk {
+///     text: "0.1,0.2,1\n0.3,0.4,0".to_string(),
+///     line_numbers: vec![1, 3],
+///     first_row: 0,
+/// };
+/// let parsed = parse_chunk(&chunk, None).unwrap();
+/// assert_eq!(parsed.cols, 2);
+/// assert_eq!(parsed.features, vec![0.1, 0.2, 0.3, 0.4]);
+/// assert_eq!(parsed.labels, vec![Label::Positive, Label::Negative]);
+/// // A pinned width that disagrees names the row's physical line.
+/// assert!(matches!(
+///     parse_chunk(&chunk, Some(3)),
+///     Err(IngestError::BadArity { line: 1, expected: 4, found: 3 })
+/// ));
+/// ```
 pub fn parse_chunk(
     chunk: &RawChunk,
     expected_cols: Option<usize>,
@@ -489,6 +511,30 @@ mod tests {
                 found: 3
             }
         ));
+    }
+
+    #[test]
+    fn chunk_size_does_not_change_what_is_parsed() {
+        let text = "# head\n0.5,1.5,1\n2.5,3.5,0\n\n4.5,5.5,1\n6.5,7.5,0\n8.5,9.5,1\n";
+        let drain = |chunk_rows| {
+            let mut reader =
+                ChunkReader::new(text.as_bytes(), chunk_rows, IngestLimits::default()).unwrap();
+            let (mut cols, mut features, mut labels) = (None, Vec::new(), Vec::new());
+            while let Some(chunk) = reader.next_chunk().unwrap() {
+                let parsed = parse_chunk(&chunk, cols).unwrap();
+                cols = Some(parsed.cols);
+                features.extend(parsed.features);
+                labels.extend(parsed.labels);
+            }
+            (cols, features, labels, reader.summary())
+        };
+        let whole = drain(DEFAULT_CHUNK_ROWS);
+        assert_eq!(whole.0, Some(2));
+        assert_eq!(whole.2.len(), 5);
+        assert_eq!(whole.3.checksum, checksum_bytes(text.as_bytes()));
+        for chunk_rows in 1..=6 {
+            assert_eq!(drain(chunk_rows), whole, "chunk_rows {chunk_rows}");
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! enforced before admission, resolved paths prep byte-identically to
 //! the local pipeline, and absent files fall back to the synthetic
 //! generator so a file-source request is always answerable offline.
+//! Inline `csv_text` sources share the file parser and its structured
+//! errors.
 
 use poisongame_data::csv::to_csv;
 use poisongame_data::synth::{spambase_like, SpambaseConfig};
@@ -149,6 +151,38 @@ fn ragged_served_file_is_an_error_not_a_crash() {
     client
         .cell(&file_cell("spam.csv", None, Some(64)))
         .expect("good request after ragged file");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn served_csv_text_matches_local_pipeline_and_corruption_is_structured() {
+    let (dir, _) = data_dir_with_csv("csvtext");
+    let text = std::fs::read_to_string(dir.join("spam.csv")).unwrap();
+    let mut request = file_cell("spam.csv", None, None);
+    request.config.source = DataSource::CsvText { text };
+    let expected = run_matrix(&request.config, &request.as_matrix())
+        .expect("batch")
+        .to_json_string();
+    // No data dir: inline text never touches the file allow-list.
+    let (addr, handle) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(
+        client.cell(&request).expect("cell").to_json_string(),
+        expected
+    );
+    let mut corrupt = request.clone();
+    corrupt.config.source = DataSource::CsvText {
+        text: "1,2,1\n3,\"4\",0\n5,6,1\n7,8,0\n".to_string(),
+    };
+    match client.cell(&corrupt).unwrap_err() {
+        ServeError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::EvalFailed);
+            assert!(message.contains("line 2: quoted"), "{message}");
+        }
+        other => panic!("expected structured quoting error, got {other:?}"),
+    }
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();
