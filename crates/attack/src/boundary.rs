@@ -9,6 +9,11 @@
 //! "we can expect their locations to be near the boundary of the
 //! hypersphere with radius `r_i`" is realized exactly: every generated
 //! point lies at the target radius (just inside, by a small margin).
+//!
+//! The radius depends only on the clean data, the anchor and the
+//! claimed label, so [`BoundaryAttack::generate`] resolves it once per
+//! claimed label (once in all under the default global anchor), on the
+//! first point that needs it, rather than once per poison point.
 
 use crate::error::AttackError;
 use crate::AttackStrategy;
@@ -259,6 +264,21 @@ impl BoundaryAttack {
     pub fn spec(&self) -> RadiusSpec {
         self.spec
     }
+
+    /// The placement radius for points claiming `claimed` around
+    /// `anchor`, pulled in by the inset.
+    fn inset_radius(
+        &self,
+        clean: &Dataset,
+        claimed: Label,
+        anchor: &[f64],
+    ) -> Result<f64, AttackError> {
+        let radius = match self.anchor {
+            AnchorScope::Global => self.spec.resolve_global(clean, anchor)?,
+            AnchorScope::PerClass => self.spec.resolve(clean, claimed, anchor)?,
+        };
+        Ok(radius * (1.0 - self.inset).max(0.0))
+    }
 }
 
 impl AttackStrategy for BoundaryAttack {
@@ -274,12 +294,23 @@ impl AttackStrategy for BoundaryAttack {
         let dim = clean.dim();
         // Radius anchors use the configured (defense-matching) centroid
         // and scope so a percentile placement lands at the intended
-        // rank of the defender's distance ordering...
-        let global_anchor = global_centroid(clean, self.centroid)?;
-        let class_anchors = [
-            class_centroid(clean, Label::Negative, self.centroid)?,
-            class_centroid(clean, Label::Positive, self.centroid)?,
-        ];
+        // rank of the defender's distance ordering. Slots are indexed
+        // by claimed label: `[negative, positive]`.
+        let global_anchor;
+        let class_anchors;
+        let anchors: [&[f64]; 2] = match self.anchor {
+            AnchorScope::Global => {
+                global_anchor = global_centroid(clean, self.centroid)?;
+                [&global_anchor, &global_anchor]
+            }
+            AnchorScope::PerClass => {
+                class_anchors = [
+                    class_centroid(clean, Label::Negative, self.centroid)?,
+                    class_centroid(clean, Label::Positive, self.centroid)?,
+                ];
+                [&class_anchors[0], &class_anchors[1]]
+            }
+        };
         // ...while the *push direction* uses the class means, which
         // carry the discriminative geometry even when the robust
         // centroids of the two classes nearly coincide (sparse data).
@@ -287,6 +318,10 @@ impl AttackStrategy for BoundaryAttack {
             class_centroid(clean, Label::Negative, CentroidKind::Mean)?,
             class_centroid(clean, Label::Positive, CentroidKind::Mean)?,
         ];
+        // Inset radius per anchor, resolved on the first point that
+        // needs it: one for every point under `Global`, one per claimed
+        // label under `PerClass`.
+        let mut radii: [Option<f64>; 2] = [None, None];
 
         let mut poison = Dataset::empty(dim);
         for k in 0..n_points {
@@ -301,25 +336,16 @@ impl AttackStrategy for BoundaryAttack {
                     }
                 }
             };
-            let (own, own_mean, other_mean) = match (self.anchor, claimed) {
-                (AnchorScope::Global, Label::Positive) => {
-                    (&global_anchor, &mean_centers[1], &mean_centers[0])
-                }
-                (AnchorScope::Global, Label::Negative) => {
-                    (&global_anchor, &mean_centers[0], &mean_centers[1])
-                }
-                (AnchorScope::PerClass, Label::Positive) => {
-                    (&class_anchors[1], &mean_centers[1], &mean_centers[0])
-                }
-                (AnchorScope::PerClass, Label::Negative) => {
-                    (&class_anchors[0], &mean_centers[0], &mean_centers[1])
-                }
+            let c = usize::from(claimed == Label::Positive);
+            let (own, own_mean, other_mean) = (anchors[c], &mean_centers[c], &mean_centers[1 - c]);
+            let slot = match self.anchor {
+                AnchorScope::Global => 0,
+                AnchorScope::PerClass => c,
             };
-            let radius = match self.anchor {
-                AnchorScope::Global => self.spec.resolve_global(clean, own)?,
-                AnchorScope::PerClass => self.spec.resolve(clean, claimed, own)?,
+            let r = match radii[slot] {
+                Some(r) => r,
+                None => *radii[slot].insert(self.inset_radius(clean, claimed, own)?),
             };
-            let r = radius * (1.0 - self.inset).max(0.0);
 
             // Base direction: toward the other class (mean geometry).
             let mut dir = vector::sub(other_mean, own_mean);
@@ -339,7 +365,7 @@ impl AttackStrategy for BoundaryAttack {
                     let _ = vector::normalize(&mut dir);
                 }
             }
-            let mut point = own.clone();
+            let mut point = own.to_vec();
             vector::axpy(r, &dir, &mut point);
             poison.push(&point, claimed)?;
         }

@@ -2,8 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use poisongame_attack::{
-    AttackStrategy, BoundaryAttack, LabelFlipAttack, MixedRadiusAttack, RadiusAllocation,
-    RadiusSpec, RandomNoiseAttack,
+    AnchorScope, AttackStrategy, BoundaryAttack, LabelFlipAttack, MixedRadiusAttack,
+    RadiusAllocation, RadiusSpec, RandomNoiseAttack, TargetClass,
 };
 use poisongame_bench::bench_dataset;
 use poisongame_linalg::Xoshiro256StarStar;
@@ -19,6 +19,20 @@ fn bench_attacks(c: &mut Criterion) {
         let attack = BoundaryAttack::new(RadiusSpec::Percentile(0.05));
         b.iter(|| {
             let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+            let poison = attack
+                .generate(black_box(&data), n_poison, &mut rng)
+                .expect("attack generates");
+            black_box(poison.len())
+        })
+    });
+
+    // Per-class anchors with alternating claims: both radius slots.
+    group.bench_function("boundary_per_class_alternate", |b| {
+        let attack = BoundaryAttack::new(RadiusSpec::Percentile(0.05))
+            .with_anchor(AnchorScope::PerClass)
+            .with_target(TargetClass::Alternate);
+        b.iter(|| {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(5);
             let poison = attack
                 .generate(black_box(&data), n_poison, &mut rng)
                 .expect("attack generates");

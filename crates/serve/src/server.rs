@@ -93,7 +93,7 @@ pub struct ServerConfig {
     /// leaking).
     pub cache_capacity: Option<usize>,
     /// Worker threads *inside* one request's evaluation (a matrix's
-    /// cells, never across requests). The default of `1` puts all
+    /// cells, an estimate's cells, never across requests). The default of `1` puts all
     /// parallelism across requests, which is the right shape for many
     /// small requests; raise it for few huge matrices.
     pub eval_threads: usize,
@@ -664,8 +664,14 @@ fn execute(inner: &Inner, shard: &Shard, job: &Job, prep: &BatchPrep) -> Respons
         }),
         RequestKind::Estimate(req) => shared().and_then(|data| {
             let prepared = Prepared::from_shared(data, &req.config)?;
-            estimate_curves_prepared(&prepared, &req.config, &req.placements, &req.strengths)
-                .map(|estimate| estimate.to_json())
+            estimate_curves_prepared(
+                &prepared,
+                &req.config,
+                &req.placements,
+                &req.strengths,
+                &inner.eval_policy,
+            )
+            .map(|estimate| estimate.to_json())
         }),
         RequestKind::Online(req) => shared().and_then(|data| {
             let prepared = Prepared::from_shared(data, &req.config)?;

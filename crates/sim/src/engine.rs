@@ -443,11 +443,12 @@ impl EvalEngine {
         )
     }
 
-    /// Estimate the game curves with cached preparation.
+    /// Estimate the game curves with cached preparation, fanning the
+    /// estimate's cells out on the engine's policy.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::estimate::estimate_curves`].
+    /// Same conditions as [`crate::estimate::estimate_curves_with`].
     pub fn estimate_curves(
         &self,
         config: &ExperimentConfig,
@@ -455,7 +456,7 @@ impl EvalEngine {
         strengths: &[f64],
     ) -> Result<CurveEstimate, SimError> {
         let prepared = self.prepare(config)?;
-        estimate_curves_prepared(&prepared, config, placements, strengths)
+        estimate_curves_prepared(&prepared, config, placements, strengths, &self.policy)
     }
 
     /// Run the §5 scaling experiment on the engine's policy (no

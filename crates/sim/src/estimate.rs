@@ -8,8 +8,14 @@
 //! * `E(p)` — an unfiltered placement sweep: inject the budget at
 //!   position `p` with no filter and divide the accuracy drop by the
 //!   budget to get per-point damage.
+//!
+//! The baseline and every sweep cell are independent and seeded from
+//! the master seed alone, so [`estimate_curves_with`] runs them as one
+//! grid on the worker pool and the estimate is bit-identical at any
+//! thread count.
 
 use crate::error::SimError;
+use crate::exec::{try_parallel_map, ExecPolicy};
 use crate::fig1::Fig1Results;
 use crate::jsonio::{self, Json};
 use crate::pipeline::{
@@ -136,24 +142,43 @@ pub fn cost_curve_from_fig1(fig1: &Fig1Results) -> Result<CostCurve, SimError> {
     Ok(CostCurve::from_samples(&samples)?)
 }
 
-/// Run the placement sweep and fit both curves.
+/// Run the placement sweep and fit both curves on the default (fully
+/// parallel) execution policy.
 ///
 /// `placements` are attack positions for the `E(p)` sweep;
 /// `strengths` are filter strengths for the `Γ(p)` sweep.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadParameter`] for empty grids and propagates
-/// pipeline failures.
+/// Same conditions as [`estimate_curves_prepared`], plus preparation
+/// failures.
 pub fn estimate_curves(
     config: &ExperimentConfig,
     placements: &[f64],
     strengths: &[f64],
 ) -> Result<CurveEstimate, SimError> {
+    estimate_curves_with(config, placements, strengths, &ExecPolicy::default())
+}
+
+/// [`estimate_curves`] with an explicit execution policy.
+///
+/// Every cell seeds its attack RNG from the master seed alone, so the
+/// estimate is bit-identical at any thread count.
+///
+/// # Errors
+///
+/// Same conditions as [`estimate_curves_prepared`], plus preparation
+/// failures.
+pub fn estimate_curves_with(
+    config: &ExperimentConfig,
+    placements: &[f64],
+    strengths: &[f64],
+    policy: &ExecPolicy,
+) -> Result<CurveEstimate, SimError> {
     // Reject empty grids before paying for dataset preparation.
     validate_grids(placements, strengths)?;
     let prepared = prepare(config)?;
-    estimate_curves_prepared(&prepared, config, placements, strengths)
+    estimate_curves_prepared(&prepared, config, placements, strengths, policy)
 }
 
 fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError> {
@@ -166,67 +191,105 @@ fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError>
     Ok(())
 }
 
-/// [`estimate_curves`] against an already-prepared dataset — the
+/// Reject a grid value outside `[0, 1)`.
+fn validate_fraction(what: &'static str, value: f64) -> Result<(), SimError> {
+    if !(0.0..1.0).contains(&value) || value.is_nan() {
+        return Err(SimError::BadParameter { what, value });
+    }
+    Ok(())
+}
+
+/// One independent experiment of the estimate; each yields a held-out
+/// accuracy.
+#[derive(Clone, Copy)]
+enum Cell {
+    /// Clean data, no filter.
+    Baseline,
+    /// The whole budget injected at this placement, no filter.
+    Attacked(f64),
+    /// Clean data filtered at this strength.
+    Clean(f64),
+}
+
+/// [`estimate_curves_with`] against an already-prepared dataset — the
 /// evaluate phase of the engine's prepare → evaluate task graph.
+///
+/// The baseline, one attacked cell per placement and one clean cell
+/// per strength run as one grid on `policy`. Each cell validates its
+/// own grid value, so the error returned is the one a sequential run
+/// meets first: the baseline's, then the placements' in grid order,
+/// then the strengths'.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::BadParameter`] for empty grids and propagates
-/// pipeline failures.
+/// Returns [`SimError::BadParameter`] for an empty grid, a zero poison
+/// budget (`budget_fraction`), or a placement or strength outside
+/// `[0, 1)`, and propagates pipeline failures.
 pub fn estimate_curves_prepared(
     prepared: &Prepared,
     config: &ExperimentConfig,
     placements: &[f64],
     strengths: &[f64],
+    policy: &ExecPolicy,
 ) -> Result<CurveEstimate, SimError> {
     validate_grids(placements, strengths)?;
-    let baseline = filter_train_eval(
-        prepared.train(),
-        &[],
-        prepared.test(),
-        FilterStrength::RemoveFraction(0.0),
-        config,
-    )?;
-
-    // E(p): unfiltered damage per poison point at each placement.
-    let mut effect_samples = Vec::with_capacity(placements.len());
-    for &p in placements {
-        if !(0.0..1.0).contains(&p) || p.is_nan() {
-            return Err(SimError::BadParameter {
-                what: "placement",
-                value: p,
-            });
-        }
-        let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ p.to_bits().rotate_left(29));
-        let attacked = attack_filter_train_eval(
-            prepared,
-            p,
-            FilterStrength::RemoveFraction(0.0),
-            config,
-            &mut rng,
-        )?;
-        let damage = (baseline.accuracy - attacked.accuracy) / prepared.n_poison as f64;
-        effect_samples.push((p, damage));
+    // The effect sweep divides by the budget; with no poison points
+    // there is no per-point damage to estimate.
+    if prepared.n_poison == 0 {
+        return Err(SimError::BadParameter {
+            what: "budget_fraction",
+            value: config.budget_fraction,
+        });
     }
-
-    // Γ(p): clean accuracy loss at each strength.
-    let mut cost_samples = Vec::with_capacity(strengths.len());
-    for &s in strengths {
-        if !(0.0..1.0).contains(&s) || s.is_nan() {
-            return Err(SimError::BadParameter {
-                what: "strength",
-                value: s,
-            });
-        }
-        let clean = filter_train_eval(
+    let cells: Vec<Cell> = std::iter::once(Cell::Baseline)
+        .chain(placements.iter().map(|&p| Cell::Attacked(p)))
+        .chain(strengths.iter().map(|&s| Cell::Clean(s)))
+        .collect();
+    let clean_accuracy = |s: f64| -> Result<f64, SimError> {
+        let outcome = filter_train_eval(
             prepared.train(),
             &[],
             prepared.test(),
             FilterStrength::RemoveFraction(s),
             config,
         )?;
-        cost_samples.push((s, (baseline.accuracy - clean.accuracy).max(0.0)));
-    }
+        Ok(outcome.accuracy)
+    };
+    let accuracies = try_parallel_map(policy, &cells, |_, &cell| match cell {
+        Cell::Baseline => clean_accuracy(0.0),
+        Cell::Attacked(p) => {
+            validate_fraction("placement", p)?;
+            let mut rng =
+                Xoshiro256StarStar::seed_from_u64(config.seed ^ p.to_bits().rotate_left(29));
+            let attacked = attack_filter_train_eval(
+                prepared,
+                p,
+                FilterStrength::RemoveFraction(0.0),
+                config,
+                &mut rng,
+            )?;
+            Ok(attacked.accuracy)
+        }
+        Cell::Clean(s) => {
+            validate_fraction("strength", s)?;
+            clean_accuracy(s)
+        }
+    })?;
+    let (baseline, rest) = accuracies.split_first().expect("baseline cell");
+    let (attacked, clean) = rest.split_at(placements.len());
+
+    // E(p): unfiltered damage per poison point at each placement.
+    let effect_samples: Vec<(f64, f64)> = placements
+        .iter()
+        .zip(attacked)
+        .map(|(&p, a)| (p, (baseline - a) / prepared.n_poison as f64))
+        .collect();
+    // Γ(p): clean accuracy loss at each strength.
+    let cost_samples: Vec<(f64, f64)> = strengths
+        .iter()
+        .zip(clean)
+        .map(|(&s, c)| (s, (baseline - c).max(0.0)))
+        .collect();
 
     let effect = EffectCurve::from_samples(&effect_samples)?;
     let cost = CostCurve::from_samples(&cost_samples)?;
@@ -235,7 +298,7 @@ pub fn estimate_curves_prepared(
         cost,
         effect_samples,
         cost_samples,
-        baseline_accuracy: baseline.accuracy,
+        baseline_accuracy: *baseline,
         n_poison: prepared.n_poison,
     })
 }
@@ -323,6 +386,25 @@ mod tests {
         assert!(estimate_curves(&quick_config(), &[], &[0.1]).is_err());
         assert!(estimate_curves(&quick_config(), &[0.1], &[]).is_err());
         assert!(estimate_curves(&quick_config(), &[1.5], &[0.1]).is_err());
+    }
+
+    #[test]
+    fn zero_budget_is_a_bad_parameter() {
+        let config = ExperimentConfig {
+            budget_fraction: 0.0,
+            ..quick_config()
+        };
+        let err = estimate_curves(&config, &[0.05], &[0.0]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::BadParameter {
+                    what: "budget_fraction",
+                    value
+                } if value == 0.0
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

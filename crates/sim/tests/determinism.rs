@@ -6,9 +6,13 @@
 
 use poisongame_core::ne::equalizing_strategy;
 use poisongame_core::{CostCurve, EffectCurve, PoisonGame, SolverKind};
+use poisongame_data::ContentHash;
 use poisongame_defense::CentroidEstimator;
 use poisongame_sim::engine::EvalEngine;
-use poisongame_sim::estimate::estimate_curves;
+use poisongame_sim::error::SimError;
+use poisongame_sim::estimate::{
+    default_placements, default_strengths, estimate_curves, estimate_curves_with, CurveEstimate,
+};
 use poisongame_sim::exec::ExecPolicy;
 use poisongame_sim::fig1::{run_fig1_with, Fig1Config};
 use poisongame_sim::monte_carlo::simulate_repeated_game_parallel;
@@ -221,6 +225,62 @@ fn monte_carlo_results_are_byte_identical_across_thread_counts() {
             report.as_bytes(),
             reports[0].as_bytes(),
             "monte carlo diverged at {threads} threads"
+        );
+    }
+}
+
+/// FNV-1a digest over every float an estimate carries, by exact bit
+/// pattern (the fitted curves are a deterministic function of the
+/// samples).
+fn estimate_digest(est: &CurveEstimate) -> u64 {
+    let mut h = ContentHash::new()
+        .u64(est.n_poison as u64)
+        .f64(est.baseline_accuracy);
+    for &(x, y) in est.effect_samples.iter().chain(&est.cost_samples) {
+        h = h.f64(x).f64(y);
+    }
+    h.finish()
+}
+
+/// The estimate's baseline, attacked and clean cells run as one grid
+/// on the pool; the result is the same bits at any thread count, and
+/// those bits are pinned.
+#[test]
+fn estimate_is_bit_identical_across_thread_counts() {
+    let config = tiny_config();
+    for &threads in &THREAD_COUNTS {
+        let est = estimate_curves_with(
+            &config,
+            &default_placements(),
+            &default_strengths(),
+            &ExecPolicy::with_threads(threads),
+        )
+        .expect("estimate runs");
+        assert_eq!(
+            estimate_digest(&est),
+            0x7a6e_2651_e116_c013,
+            "estimate diverged at {threads} threads"
+        );
+    }
+}
+
+/// A grid with a bad placement *and* a bad strength reports the
+/// placement, as the sequential loop met it first, at any fan-out.
+#[test]
+fn estimate_reports_the_first_bad_grid_value() {
+    let config = tiny_config();
+    for policy in [ExecPolicy::sequential(), ExecPolicy::with_threads(8)] {
+        let err = estimate_curves_with(&config, &[0.05, 1.5], &[0.0, -0.1], &policy)
+            .expect_err("bad grids rejected");
+        assert!(
+            matches!(
+                err,
+                SimError::BadParameter {
+                    what: "placement",
+                    value
+                } if value == 1.5
+            ),
+            "{policy:?}: {err:?}"
         );
     }
 }
