@@ -264,6 +264,12 @@ cargo bench -p poisongame-bench --bench obs_overhead --features obs-noop -- --te
 echo "==> cargo bench -p poisongame-bench --bench ingest -- --test (smoke)"
 cargo bench -p poisongame-bench --bench ingest -- --test
 
+# Solver bench in smoke mode, named explicitly: the three solvers on
+# the discretized game, plus the resolution-150 multiplicative-weights
+# solve that plays its two players on two threads.
+echo "==> cargo bench -p poisongame-bench --bench solver_comparison -- --test (smoke)"
+cargo bench -p poisongame-bench --bench solver_comparison -- --test
+
 # Bench binaries in --test smoke mode (one sample per bench): keeps
 # every bench compiling AND running without paying for statistics.
 # Scoped to the bench package so the arg reaches only the harness=false

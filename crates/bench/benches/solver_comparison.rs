@@ -2,7 +2,8 @@
 //! poisoning game — exact simplex LP vs fictitious play vs
 //! multiplicative weights — all driven through the unified
 //! `ZeroSumSolver` trait so the bench measures exactly the code path
-//! experiments use.
+//! experiments use — plus the default 20,000-round multiplicative
+//! weights at resolution 150, the solve the paper sweep runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use poisongame_bench::calibrated_game;
@@ -60,6 +61,15 @@ fn bench_solvers(c: &mut Criterion) {
             );
         }
     }
+
+    // The size `SolverKind::Auto` hands to multiplicative weights in
+    // the paper sweep: 151 × 150 is past 128² payoffs, so the default
+    // 20,000-round solve plays its two players on two threads.
+    let matrix = to_matrix_game(&game, &percentile_grid(150));
+    let hedge = MultiplicativeWeights::default();
+    group.bench_with_input(BenchmarkId::new(hedge.name(), 150), &matrix, |b, m| {
+        b.iter(|| black_box(hedge.solve(black_box(m)).expect("hedge solves").value))
+    });
     group.finish();
 }
 

@@ -8,6 +8,13 @@ use serde::{Deserialize, Serialize};
 /// removal-percentile axis (the paper's `S_a = {[r_i, n_i]}`).
 pub type AttackPlacement = Vec<(f64, usize)>;
 
+/// Largest payoff magnitude `N·max|E| + max|Γ|` a game may reach. The
+/// discretized solvers sum payoffs over every action and the LP
+/// multiplies them in its pivots; payoffs up to this bound keep all of
+/// that finite, where a budget of `1e10` points of `1e300` damage would
+/// overflow the payoff matrix itself.
+pub const MAX_PAYOFF: f64 = 1e150;
+
 /// The poisoning game instance: curves plus the poison budget `N`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoisonGame {
@@ -22,12 +29,24 @@ impl PoisonGame {
     /// # Errors
     ///
     /// Returns [`CoreError::BadParameter`] if `n_points == 0` (with no
-    /// budget there is no game).
+    /// budget there is no game), or with `what: "max_payoff"` if a
+    /// payoff could exceed [`MAX_PAYOFF`] in magnitude.
     pub fn new(effect: EffectCurve, cost: CostCurve, n_points: usize) -> Result<Self, CoreError> {
         if n_points == 0 {
             return Err(CoreError::BadParameter {
                 what: "n_points",
                 value: 0.0,
+            });
+        }
+        // Both curves interpolate between their knots and clamp beyond
+        // them, so the knot magnitudes bound every evaluation.
+        let max_abs = |ys: &[f64]| ys.iter().fold(0.0_f64, |acc, y| acc.max(y.abs()));
+        let bound = n_points as f64 * max_abs(effect.as_piecewise().ys())
+            + max_abs(cost.as_piecewise().ys());
+        if bound > MAX_PAYOFF {
+            return Err(CoreError::BadParameter {
+                what: "max_payoff",
+                value: bound,
             });
         }
         Ok(Self {
@@ -128,6 +147,25 @@ mod tests {
     fn zero_budget_rejected() {
         let g = game();
         assert!(PoisonGame::new(g.effect().clone(), g.cost().clone(), 0).is_err());
+    }
+
+    #[test]
+    fn overflowing_payoffs_rejected() {
+        let huge =
+            EffectCurve::from_samples(&[(0.05, 1e300), (0.5, 1e300), (0.95, 1e300)]).unwrap();
+        let g = game();
+        let err = PoisonGame::new(huge.clone(), g.cost().clone(), 10_000_000_000).unwrap_err();
+        assert!(
+            matches!(err, CoreError::BadParameter { what: "max_payoff", value } if value.is_infinite()),
+            "{err}"
+        );
+        // Finite but past the bound, from either curve.
+        assert!(PoisonGame::new(huge, g.cost().clone(), 1).is_err());
+        let steep = CostCurve::from_samples(&[(0.0, 0.0), (0.5, 1e200)]).unwrap();
+        assert!(PoisonGame::new(g.effect().clone(), steep, 1).is_err());
+        // A large budget of realistic damage is fine.
+        let small = EffectCurve::from_samples(&[(0.0, 2.0e-4), (0.3, 1.5e-5)]).unwrap();
+        assert!(PoisonGame::new(small, g.cost().clone(), 10_000_000_000).is_ok());
     }
 
     #[test]

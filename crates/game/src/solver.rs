@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`SimplexLp`] | yes | small/medium games (LP tableau is `O((m+n)²)`) |
 //! | [`FictitiousPlay`] | no (`O(1/√t)`) | large games, anytime |
-//! | [`MultiplicativeWeights`] | no (`O(√(ln k / T))`) | large games, parallel-friendly |
+//! | [`MultiplicativeWeights`] | no (`O(√(ln k / T))`) | large games, two threads past 128² payoffs |
 //!
 //! [`SolverKind::Auto`] picks the exact LP for small games and
 //! multiplicative weights beyond [`AUTO_EXACT_LIMIT`] actions, so

@@ -360,6 +360,67 @@ pub fn gemv(a: &impl RowSource, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(out)
 }
 
+/// Row-weighted accumulation `out += xᵀ a`, i.e.
+/// `out[j] += Σᵢ x[i] · a.row(i)[j]`, four rows per pass over `out`.
+///
+/// Bit-identical to one [`vector::axpy`]`(x[i], a.row(i), out)` per row
+/// with `x[i] != 0.0`, in ascending row order: every column adds the
+/// same products to the same start value in the same order, and Rust
+/// never contracts `a*b + c` into a fused multiply-add. Only the memory
+/// traffic changes — each pass loads and stores `out` once for four
+/// rows instead of once per row. A 4-row block holding a zero weight
+/// takes the per-row path, so zero rows are skipped exactly as the
+/// axpy loop skips them.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::DimensionMismatch`] if `x.len() != a.rows()`
+/// or `out.len() != a.cols()`.
+pub fn accumulate_rows(x: &[f64], a: &impl RowSource, out: &mut [f64]) -> Result<(), LinalgError> {
+    if x.len() != a.rows() {
+        return Err(LinalgError::DimensionMismatch {
+            left: a.rows(),
+            right: x.len(),
+        });
+    }
+    if out.len() != a.cols() {
+        return Err(LinalgError::DimensionMismatch {
+            left: a.cols(),
+            right: out.len(),
+        });
+    }
+    let n = out.len();
+    let mut blocks = x.chunks_exact(4);
+    for (b, w) in blocks.by_ref().enumerate() {
+        let i = 4 * b;
+        if w.contains(&0.0) {
+            axpy_nonzero_rows(i, w, a, out);
+            continue;
+        }
+        let (x0, x1, x2, x3) = (w[0], w[1], w[2], w[3]);
+        let a0 = &a.row(i)[..n];
+        let a1 = &a.row(i + 1)[..n];
+        let a2 = &a.row(i + 2)[..n];
+        let a3 = &a.row(i + 3)[..n];
+        for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(a0).zip(a1).zip(a2).zip(a3) {
+            *o = (((*o + x0 * v0) + x1 * v1) + x2 * v2) + x3 * v3;
+        }
+    }
+    let tail = x.len() - blocks.remainder().len();
+    axpy_nonzero_rows(tail, blocks.remainder(), a, out);
+    Ok(())
+}
+
+/// `out += weights[r] · a.row(first + r)` for each nonzero weight, in
+/// row order: the per-row path of [`accumulate_rows`].
+fn axpy_nonzero_rows(first: usize, weights: &[f64], a: &impl RowSource, out: &mut [f64]) {
+    for (r, &w) in weights.iter().enumerate() {
+        if w != 0.0 {
+            vector::axpy(w, a.row(first + r), out);
+        }
+    }
+}
+
 /// Fused margin kernel: `out[i] = labels[i] * (dot(x.row(i), w) + bias)`
 /// in one pass over the rows — the hinge/logistic margin `y ⊙ (Xw + b)`
 /// without materializing the intermediate product. `out` is cleared and
@@ -597,6 +658,81 @@ mod tests {
             assert_eq!(fast, naive, "gemv diverged at {m}x{k}");
         }
         assert!(gemv(&Matrix::zeros(2, 3), &[1.0]).is_err());
+    }
+
+    /// The reference semantics of `accumulate_rows`: one axpy per
+    /// row with a nonzero weight.
+    fn axpy_rows(x: &[f64], a: &Matrix, out: &mut [f64]) {
+        for (i, &xi) in x.iter().enumerate() {
+            if xi != 0.0 {
+                vector::axpy(xi, a.row(i), out);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn accumulate_rows_is_bit_identical_to_row_axpys() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xA99);
+        for &(m, n) in &[(1, 5), (4, 3), (7, 12), (13, 1), (151, 150)] {
+            let mut a = random_matrix(m, n, &mut rng);
+            let mut x: Vec<f64> = (0..m).map(|_| rng.next_f64()).collect();
+            // Zero weights inside full blocks and in the tail, both
+            // signs, plus a subnormal.
+            for i in (0..m).step_by(5) {
+                x[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            x[m / 2] = f64::MIN_POSITIVE / 8.0;
+            // The last column holds only signed zeros and ones: -0
+            // under every weighted row, 1 under every zero-weight row.
+            // From a -0 start the axpy loop keeps -0 there; adding a
+            // zero row's `0·1 = +0` instead of skipping it gives +0.
+            for (i, &xi) in x.iter().enumerate() {
+                a.set(i, n - 1, if xi == 0.0 { 1.0 } else { -0.0 });
+            }
+            for start in [0.0, -0.0, 0.25] {
+                let mut fast = vec![start; n];
+                let mut reference = fast.clone();
+                accumulate_rows(&x, &a, &mut fast).unwrap();
+                axpy_rows(&x, &a, &mut reference);
+                assert_eq!(bits(&fast), bits(&reference), "{m}x{n}, start {start}");
+            }
+            // Dense weights take the blocked path everywhere.
+            let dense: Vec<f64> = (0..m).map(|_| rng.next_f64() - 0.5).collect();
+            let mut fast = vec![0.0; n];
+            let mut reference = vec![0.0; n];
+            accumulate_rows(&dense, &a, &mut fast).unwrap();
+            axpy_rows(&dense, &a, &mut reference);
+            assert_eq!(bits(&fast), bits(&reference), "{m}x{n} dense");
+        }
+    }
+
+    #[test]
+    fn accumulate_rows_over_the_transpose_matches_gemv() {
+        // A·y summed over Aᵀ's rows adds the same products in gemv's
+        // column order.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x7A5);
+        for &(m, n) in &[(5, 4), (151, 150), (9, 130)] {
+            let a = random_matrix(m, n, &mut rng);
+            let mut y: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
+            y[n / 3] = 0.0;
+            let mut fast = vec![0.0; m];
+            accumulate_rows(&y, &a.transpose(), &mut fast).unwrap();
+            assert_eq!(bits(&fast), bits(&gemv(&a, &y).unwrap()), "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn accumulate_rows_validates_shapes() {
+        let a = Matrix::zeros(3, 2);
+        assert!(accumulate_rows(&[1.0; 2], &a, &mut [0.0; 2]).is_err());
+        assert!(accumulate_rows(&[1.0; 3], &a, &mut [0.0; 3]).is_err());
+        let mut out = [0.0; 2];
+        accumulate_rows(&[], &Matrix::zeros(0, 2), &mut out).unwrap();
+        assert_eq!(out, [0.0; 2]);
     }
 
     #[test]

@@ -95,7 +95,9 @@ pub struct ServerConfig {
     /// Worker threads *inside* one request's evaluation (a matrix's
     /// cells, an estimate's cells, never across requests). The default of `1` puts all
     /// parallelism across requests, which is the right shape for many
-    /// small requests; raise it for few huge matrices.
+    /// small requests; raise it for few huge matrices. Kernels that
+    /// use the shared pool on their own (pooled `gemm_nt` bands, the
+    /// helper of a big multiplicative-weights solve) are not capped.
     pub eval_threads: usize,
     /// Per-frame byte cap, requests and responses alike.
     pub max_line_bytes: usize,

@@ -338,3 +338,52 @@ fn wire_seed_override_changes_exactly_the_seed() {
 
     shutdown_server(addr, handle);
 }
+
+#[test]
+fn overflowing_solve_is_rejected_and_connection_survives() {
+    let (addr, handle) = spawn(ServerConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+
+    // `n_points · E(p)` overflows f64: the game is refused before any
+    // payoff matrix is built, instead of panicking the shard.
+    stream
+        .write_all(
+            b"{\"id\": 31, \"type\": \"solve\", \
+              \"effect\": [[0.05, 1e300], [0.5, 1e300], [0.95, 1e300]], \
+              \"cost\": [[0.0, 0.0], [0.5, 0.1]], \
+              \"n_points\": 10000000000, \"resolution\": 20}\n",
+        )
+        .expect("write");
+    reader.read_line(&mut line).expect("read");
+    let response = parse_response_line(line.trim_end()).expect("structured response");
+    assert_eq!(response.id, Some(31));
+    let message = expect_error(&response, ErrorCode::EvalFailed);
+    assert!(message.contains("max_payoff"), "{message}");
+
+    // The same connection (and shard) still answers a good solve.
+    let good = Request {
+        id: 32,
+        deadline_ms: None,
+        kind: RequestKind::Solve(SolveRequest {
+            effect_samples: vec![(0.0, 2.0e-4), (0.3, 1.5e-5)],
+            cost_samples: vec![(0.0, 0.0), (0.3, 0.04)],
+            n_points: 644,
+            resolution: 20,
+            solver: poisongame_core::SolverKind::Auto,
+        }),
+    };
+    stream.write_all(good.to_line().as_bytes()).expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    let response = parse_response_line(line.trim_end()).expect("solve response");
+    assert_eq!(response.id, Some(32));
+    assert!(
+        matches!(response.body, ResponseBody::Ok(_)),
+        "{:?}",
+        response.body
+    );
+
+    shutdown_server(addr, handle);
+}
