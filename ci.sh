@@ -33,11 +33,13 @@ cargo run --release --example scenario_matrix -- minibatch
 
 # Server smoke: boot the serve daemon on an ephemeral port, drive a
 # small mixed workload (solve + cell + estimate + stats) through the
-# client, request shutdown, and assert a clean drain-and-exit.
-echo "==> serve smoke (ephemeral port, solve+cell+estimate+stats+shutdown)"
+# client, request shutdown, and assert a clean drain-and-exit. Three
+# shards share one executor, so the drain-and-exit path is gated with
+# more shard queues than executors.
+echo "==> serve smoke (ephemeral port, 3 shards / 1 executor, solve+cell+estimate+stats+shutdown)"
 PORT_FILE=$(mktemp)
 rm -f "$PORT_FILE"
-./target/release/examples/serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" &
+./target/release/examples/serve --addr 127.0.0.1:0 --shards 3 --workers 1 --port-file "$PORT_FILE" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
   [ -s "$PORT_FILE" ] && break

@@ -3,9 +3,8 @@
 //! * **grid** — a `parallel_map`-shaped fan-out (float-heavy cells
 //!   with per-cell derived seeds) at 1-, 8- and 64-cell grids, the
 //!   per-call `std::thread::scope` backend this repo used through
-//!   PR 7 vs the shared [`WorkerPool`]. Small grids are the serving
-//!   tier's shape — one drained batch per shard dispatcher — where
-//!   per-call spawn/join dominated.
+//!   PR 7 vs the shared [`WorkerPool`]. Small grids are the shape of
+//!   a served request's fan-out, where per-call spawn/join dominated.
 //! * **gemm** — serial vs pool-parallel [`gemm_nt`] at the paper-scale
 //!   shape (Spambase-rows × cells × features) and a wide-feature
 //!   shape, both split into `ROW_BLOCK` output bands. Results are

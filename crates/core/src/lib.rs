@@ -62,5 +62,5 @@ pub use algorithm1::{Algorithm1, Algorithm1Config, Algorithm1Result};
 pub use curves::{CostCurve, EffectCurve};
 pub use error::CoreError;
 pub use game_model::PoisonGame;
-pub use poisongame_theory::SolverKind;
+pub use poisongame_theory::{SolverKind, AUTO_EXACT_LIMIT};
 pub use strategy::DefenderMixedStrategy;

@@ -34,10 +34,11 @@
 //! assert_eq!(cache.stats().misses, 1);
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Hit/miss/eviction counters of a [`PrepCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,12 +71,88 @@ struct Slot<V> {
     last_used: u64,
 }
 
-/// The lock-guarded interior: the keyed slots and the logical clock
-/// that stamps every touch.
+/// The lock-guarded interior: the keyed slots, the builds in
+/// progress, and the logical clock that stamps every touch.
 #[derive(Debug)]
 struct Inner<K, V> {
     slots: HashMap<K, Slot<V>>,
+    building: HashMap<K, Arc<Flight<V>>>,
     tick: u64,
+}
+
+/// One build in progress: callers missing the same key wait here for
+/// its landing instead of building again.
+#[derive(Debug)]
+struct Flight<V> {
+    landing: Mutex<Option<Landing<V>>>,
+    landed: Condvar,
+}
+
+/// How a build ended.
+#[derive(Debug)]
+enum Landing<V> {
+    Built(Arc<V>),
+    /// The build failed with this error (type-erased: the cache is
+    /// generic over keys and values only).
+    Failed(Arc<dyn Any + Send + Sync>),
+    /// The builder panicked: waiters retry.
+    Abandoned,
+}
+
+// Manual impl: a derived `Clone` would demand `V: Clone`.
+impl<V> Clone for Landing<V> {
+    fn clone(&self) -> Self {
+        match self {
+            Landing::Built(value) => Landing::Built(Arc::clone(value)),
+            Landing::Failed(error) => Landing::Failed(Arc::clone(error)),
+            Landing::Abandoned => Landing::Abandoned,
+        }
+    }
+}
+
+impl<V> Flight<V> {
+    fn new() -> Self {
+        Self {
+            landing: Mutex::new(None),
+            landed: Condvar::new(),
+        }
+    }
+
+    fn land(&self, landing: Landing<V>) {
+        *self.landing.lock().expect("cache flight poisoned") = Some(landing);
+        self.landed.notify_all();
+    }
+
+    fn wait(&self) -> Landing<V> {
+        let mut landing = self.landing.lock().expect("cache flight poisoned");
+        loop {
+            if let Some(landed) = landing.as_ref() {
+                return landed.clone();
+            }
+            landing = self.landed.wait(landing).expect("cache flight poisoned");
+        }
+    }
+}
+
+/// Lands a flight as [`Landing::Abandoned`] if its builder unwinds
+/// before landing it, so waiters never hang on a panicked build.
+struct Abandon<'a, K: Eq + Hash, V> {
+    cache: &'a PrepCache<K, V>,
+    key: &'a K,
+    flight: &'a Flight<V>,
+    armed: bool,
+}
+
+impl<K: Eq + Hash, V> Drop for Abandon<'_, K, V> {
+    fn drop(&mut self) {
+        if self.armed {
+            // Poison-tolerant: this runs while unwinding.
+            let mut inner = self.cache.map.lock().unwrap_or_else(|e| e.into_inner());
+            inner.building.remove(self.key);
+            drop(inner);
+            self.flight.land(Landing::Abandoned);
+        }
+    }
 }
 
 impl<K: Eq + Hash, V> Inner<K, V> {
@@ -95,12 +172,12 @@ impl<K: Eq + Hash, V> Inner<K, V> {
 /// value.
 ///
 /// The builder closure runs *outside* the map lock, so distinct keys
-/// prepare in parallel. Two threads racing the same key may both build
-/// it (first insert wins, the loser's value is dropped); callers that
-/// fan out over a grid should deduplicate keys first — see the
-/// simulation crate's two-phase engine — and the race is then
-/// impossible. Because values are deterministic functions of their
-/// key, a duplicated build never changes what consumers observe.
+/// prepare in parallel. Misses on one key are **single-flight**: the
+/// first caller builds, and callers that miss the same key while that
+/// build runs wait for it and share its `Arc` (or its error — a failed
+/// build is never cached, so the next lookup after it builds afresh).
+/// If the builder panics, its waiters retry as if they had never
+/// waited.
 #[derive(Debug)]
 pub struct PrepCache<K, V> {
     map: Mutex<Inner<K, V>>,
@@ -139,6 +216,7 @@ impl<K: Eq + Hash, V> PrepCache<K, V> {
         Self {
             map: Mutex::new(Inner {
                 slots: HashMap::new(),
+                building: HashMap::new(),
                 tick: 0,
             }),
             capacity,
@@ -154,40 +232,99 @@ impl<K: Eq + Hash, V> PrepCache<K, V> {
     }
 
     /// The value under `key`, building and inserting it with `build`
-    /// on a miss. Counts a hit when the value was already present, a
-    /// miss when `build` ran (even if another thread's insert won the
-    /// race). On a bounded cache the least-recently-used entries are
-    /// evicted until the bound holds again.
+    /// on a miss. Counts a hit when the value was already present or
+    /// another caller's build of it was in flight (this caller waited
+    /// and shares that build's `Arc`), a miss when `build` ran and
+    /// succeeded. On a bounded cache the least-recently-used entries
+    /// are evicted until the bound holds again.
     ///
     /// # Errors
     ///
-    /// Propagates `build`'s error; nothing is inserted on failure.
+    /// Propagates `build`'s error — to this caller and to every caller
+    /// that waited on this build; nothing is inserted on failure.
     pub fn get_or_try_insert_with<E, F>(&self, key: K, build: F) -> Result<Arc<V>, E>
     where
+        K: Clone,
+        E: Clone + Send + Sync + 'static,
         F: FnOnce() -> Result<V, E>,
     {
-        if let Some(found) = self.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(found);
+        loop {
+            let waiting = {
+                let mut inner = self.map.lock().expect("cache map poisoned");
+                let stamp = inner.touch();
+                if let Some(slot) = inner.slots.get_mut(&key) {
+                    slot.last_used = stamp;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Arc::clone(&slot.value));
+                }
+                match inner.building.get(&key) {
+                    Some(flight) => Arc::clone(flight),
+                    None => {
+                        let flight = Arc::new(Flight::new());
+                        inner.building.insert(key.clone(), Arc::clone(&flight));
+                        drop(inner);
+                        return self.lead(key, &flight, build);
+                    }
+                }
+            };
+            match waiting.wait() {
+                Landing::Built(value) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(value);
+                }
+                Landing::Failed(error) => {
+                    if let Some(error) = error.downcast_ref::<E>() {
+                        return Err(error.clone());
+                    }
+                    // A builder with another error type failed: build
+                    // (or wait) afresh.
+                }
+                Landing::Abandoned => {}
+            }
         }
-        let built = Arc::new(build()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Run the build of the `flight` this caller registered under
+    /// `key`, then land it.
+    fn lead<E, F>(&self, key: K, flight: &Flight<V>, build: F) -> Result<Arc<V>, E>
+    where
+        E: Clone + Send + Sync + 'static,
+        F: FnOnce() -> Result<V, E>,
+    {
+        let mut abandon = Abandon {
+            cache: self,
+            key: &key,
+            flight,
+            armed: true,
+        };
+        let built = build();
+        abandon.armed = false;
+        drop(abandon);
         let mut inner = self.map.lock().expect("cache map poisoned");
-        let stamp = inner.touch();
-        // First insert wins so every consumer of the key shares one Arc.
-        let value = Arc::clone(
-            &inner
-                .slots
-                .entry(key)
-                .and_modify(|slot| slot.last_used = stamp)
-                .or_insert(Slot {
-                    value: built,
-                    last_used: stamp,
-                })
-                .value,
-        );
-        self.evict_over_capacity(&mut inner);
-        Ok(value)
+        inner.building.remove(&key);
+        match built {
+            Ok(value) => {
+                let value = Arc::new(value);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let stamp = inner.touch();
+                inner.slots.insert(
+                    key,
+                    Slot {
+                        value: Arc::clone(&value),
+                        last_used: stamp,
+                    },
+                );
+                self.evict_over_capacity(&mut inner);
+                drop(inner);
+                flight.land(Landing::Built(Arc::clone(&value)));
+                Ok(value)
+            }
+            Err(error) => {
+                drop(inner);
+                flight.land(Landing::Failed(Arc::new(error.clone())));
+                Err(error)
+            }
+        }
     }
 
     /// Drop least-recently-used entries until the bound holds. Runs
@@ -380,6 +517,92 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 8);
+    }
+
+    /// Run `build` for key 5 from `threads` callers released together
+    /// by a barrier; the builder sleeps so every caller misses while it
+    /// runs. Returns each caller's result and how often `build` ran.
+    fn racing_misses<E>(
+        cache: &Arc<PrepCache<u64, u64>>,
+        threads: usize,
+        build: fn() -> Result<u64, E>,
+    ) -> (Vec<Result<Arc<u64>, E>>, u64)
+    where
+        E: Clone + Send + Sync + 'static,
+    {
+        let builds = Arc::new(AtomicU64::new(0));
+        let barrier = Arc::new(std::sync::Barrier::new(threads));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cache, builds, barrier) =
+                    (Arc::clone(cache), Arc::clone(&builds), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    cache.get_or_try_insert_with(5, || {
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        build()
+                    })
+                })
+            })
+            .collect();
+        let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (results, builds.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        const THREADS: usize = 8;
+        let cache: Arc<PrepCache<u64, u64>> = Arc::new(PrepCache::new());
+        let (results, builds) = racing_misses::<()>(&cache, THREADS, || Ok(123));
+        assert_eq!(builds, 1, "the builder ran once");
+        let values: Vec<Arc<u64>> = results.into_iter().map(Result::unwrap).collect();
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        assert_eq!(*values[0], 123);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, THREADS as u64 - 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_failed_flight_reaches_every_waiter_and_is_not_cached() {
+        const THREADS: usize = 4;
+        let cache: Arc<PrepCache<u64, u64>> = Arc::new(PrepCache::new());
+        let (results, builds) = racing_misses(&cache, THREADS, || Err("boom"));
+        assert_eq!(builds, 1, "waiters share the failed build");
+        assert!(results.iter().all(|r| r.as_ref().unwrap_err() == &"boom"));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+        // Nothing was cached: the next lookup builds afresh.
+        let v = cache
+            .get_or_try_insert_with::<&str, _>(5, || Ok(9))
+            .unwrap();
+        assert_eq!(*v, 9);
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn waiters_retry_when_the_builder_panics() {
+        let cache: Arc<PrepCache<u64, u64>> = Arc::new(PrepCache::new());
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let leader = {
+            let (cache, started) = (Arc::clone(&cache), Arc::clone(&started));
+            std::thread::spawn(move || {
+                let _ = cache.get_or_try_insert_with::<(), _>(5, || {
+                    started.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("builder dies")
+                });
+            })
+        };
+        started.wait();
+        // The leader's flight is registered: this caller waits on it,
+        // sees it abandoned, and builds the value itself.
+        let v = cache.get_or_try_insert_with::<(), _>(5, || Ok(77)).unwrap();
+        assert_eq!(*v, 77);
+        assert!(leader.join().is_err(), "the leader panicked");
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

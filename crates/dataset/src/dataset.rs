@@ -2,7 +2,7 @@
 
 use crate::error::DataError;
 use crate::label::Label;
-use poisongame_linalg::{stats, vector, Matrix};
+use poisongame_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -238,19 +238,52 @@ impl Dataset {
 
     /// Per-column summary `(min, max, mean, std)` — handy for scaling
     /// and for sanity-checking synthetic data.
+    ///
+    /// Two row-major passes over the features: the first folds every
+    /// column's min, max and sum, the second its squared deviations
+    /// from the mean. Each column still sees its values in row order,
+    /// and sums start from `-0.0` like [`Iterator::sum`], so every
+    /// field is bit-identical to `linalg::stats::mean`,
+    /// `linalg::stats::std_dev` and the `f64::min`/`f64::max` folds
+    /// over the column.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dataset with features but no rows, like
+    /// `linalg::stats::mean`.
     pub fn column_summary(&self) -> Vec<ColumnSummary> {
-        let mut col = Vec::with_capacity(self.len());
-        (0..self.dim())
-            .map(|c| {
-                // One reused buffer across columns instead of one
-                // allocation per column.
-                self.features.column_into(c, &mut col);
-                ColumnSummary {
-                    min: col.iter().copied().fold(f64::INFINITY, f64::min),
-                    max: col.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    mean: stats::mean(&col),
-                    std_dev: stats::std_dev(&col),
+        let dim = self.dim();
+        let n = self.len();
+        assert!(n > 0 || dim == 0, "mean of empty slice");
+        let mut min = vec![f64::INFINITY; dim];
+        let mut max = vec![f64::NEG_INFINITY; dim];
+        let mut sum = vec![-0.0; dim];
+        for row in self.features.iter_rows() {
+            for (c, &v) in row.iter().enumerate() {
+                min[c] = min[c].min(v);
+                max[c] = max[c].max(v);
+                sum[c] += v;
+            }
+        }
+        let mean: Vec<f64> = sum.iter().map(|s| s / n as f64).collect();
+        let mut squares = vec![-0.0; dim];
+        if n > 1 {
+            for row in self.features.iter_rows() {
+                for ((acc, &v), m) in squares.iter_mut().zip(row).zip(&mean) {
+                    *acc += (v - m) * (v - m);
                 }
+            }
+        }
+        (0..dim)
+            .map(|c| ColumnSummary {
+                min: min[c],
+                max: max[c],
+                mean: mean[c],
+                std_dev: if n > 1 {
+                    (squares[c] / (n - 1) as f64).sqrt()
+                } else {
+                    0.0
+                },
             })
             .collect()
     }
@@ -290,6 +323,7 @@ pub struct ColumnSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use poisongame_linalg::stats;
 
     fn toy() -> Dataset {
         Dataset::from_rows(
@@ -390,6 +424,82 @@ mod tests {
         assert_eq!(s[0].min, 0.0);
         assert_eq!(s[0].max, 11.0);
         assert!((s[0].mean - 5.5).abs() < 1e-12);
+    }
+
+    /// The per-column reference `column_summary` must match bit for
+    /// bit: the linalg statistics over each extracted column.
+    fn reference_summary(d: &Dataset) -> Vec<ColumnSummary> {
+        (0..d.dim())
+            .map(|c| {
+                let col: Vec<f64> = d.features().iter_rows().map(|row| row[c]).collect();
+                ColumnSummary {
+                    min: col.iter().copied().fold(f64::INFINITY, f64::min),
+                    max: col.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                    mean: stats::mean(&col),
+                    std_dev: stats::std_dev(&col),
+                }
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(d: &Dataset) {
+        let got = d.column_summary();
+        let want = reference_summary(d);
+        assert_eq!(got.len(), want.len());
+        for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+            for (name, a, b) in [
+                ("min", g.min, w.min),
+                ("max", g.max, w.max),
+                ("mean", g.mean, w.mean),
+                ("std_dev", g.std_dev, w.std_dev),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "column {c} {name}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn column_summary_is_bit_identical_to_per_column_stats() {
+        let labels = |n: usize| (0..n).map(|i| Label::from_bit((i % 2) as u8)).collect();
+        // Signed zeros: an all-`-0.0` column sums to `-0.0`, and its
+        // min/max folds keep whichever zero they meet.
+        let zeros = Dataset::new(
+            Matrix::from_rows(&[
+                vec![-0.0, 0.0, -0.0],
+                vec![-0.0, -0.0, 0.0],
+                vec![-0.0, 0.0, -0.0],
+            ])
+            .unwrap(),
+            labels(3),
+        )
+        .unwrap();
+        assert_eq!(
+            zeros.column_summary()[0].mean.to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_same_bits(&zeros);
+        // A single row: std is 0 by definition.
+        let single =
+            Dataset::new(Matrix::from_rows(&[vec![3.5, -2.0]]).unwrap(), labels(1)).unwrap();
+        assert_eq!(single.column_summary()[0].std_dev, 0.0);
+        assert_same_bits(&single);
+        // Constant columns next to varying ones.
+        let constant = Dataset::new(
+            Matrix::from_rows(&[vec![7.0, 1.0], vec![7.0, 2.0], vec![7.0, 4.0]]).unwrap(),
+            labels(3),
+        )
+        .unwrap();
+        assert_eq!(constant.column_summary()[0].std_dev, 0.0);
+        assert_same_bits(&constant);
+        // Values whose sum depends on the order of addition.
+        let rows: Vec<Vec<f64>> = (0..97)
+            .map(|i| {
+                let x = i as f64;
+                vec![(x * 0.37).sin() * 1e8, 1.0 / (x + 0.3), x * x * 1e-9, -x]
+            })
+            .collect();
+        assert_same_bits(&Dataset::new(Matrix::from_rows(&rows).unwrap(), labels(97)).unwrap());
+        assert_same_bits(&toy());
     }
 
     #[test]

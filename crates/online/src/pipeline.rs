@@ -13,7 +13,7 @@
 //!   inside another parallel map — e.g. a grid of online games — with
 //!   no deadlock and unchanged traces.
 //! * [`run_online_prepared`] — the evaluate phase alone, against an
-//!   already-shared preparation (what the serving dispatcher calls).
+//!   already-shared preparation (what the serving executors call).
 //! * [`run_online_engine`] — the lazy [`EnginePayoff`] route: every
 //!   cell query prepares through the engine (a `PrepCache` hit after
 //!   the first) and memoizes locally. Same numbers, different
@@ -129,8 +129,8 @@ pub fn run_online(
 }
 
 /// The evaluate phase of [`run_online`] against an already-prepared
-/// dataset — what the serving dispatcher routes `online` requests
-/// through after its batch-level preparation dedup.
+/// dataset — what the serving executors run `online` requests
+/// through once the shard's cache has the preparation.
 ///
 /// # Errors
 ///

@@ -13,18 +13,17 @@
 //!   can pipeline.
 //! * [`server`] — the sharded server: a pool of N independent
 //!   [`poisongame_sim::EvalEngine`] shards (each with its own
-//!   *bounded* preparation cache, bounded admission queue with
+//!   *bounded* preparation cache and bounded admission queue with
 //!   explicit load shedding — a structured `busy` error, never a
-//!   hang — and dispatcher thread), requests routed by prep-key
-//!   affinity so cache locality survives sharding, every admitted
-//!   batch routed through
-//!   [`poisongame_sim::exec::prepare_then_map`] so concurrent
-//!   requests sharing a dataset prepare it once, per-request
-//!   deadlines, a live `resize` control path that re-splits the pool
-//!   without dropping in-flight requests, and graceful drain on
-//!   shutdown. Connections are served by a single poll-based
-//!   multiplexer thread (std-only nonblocking sockets), so idle
-//!   pipelined connections cost no threads.
+//!   hang), requests routed by prep-key affinity so cache locality
+//!   survives sharding, a fixed set of executor threads shared by all
+//!   shards that run each generation of admitted requests cheapest
+//!   first, single-flight preparation so concurrent requests sharing a
+//!   dataset prepare it once, per-request deadlines, a live `resize`
+//!   control path that re-splits the pool without dropping in-flight
+//!   requests, and graceful drain on shutdown. Connections are served
+//!   by a single poll-based multiplexer thread (std-only nonblocking
+//!   sockets), so idle pipelined connections cost no threads.
 //! * [`telemetry`] — the serving tier's observability surface: latency
 //!   and queue-wait histograms per request kind, per-shard cache and
 //!   queue metrics, structured events (sheds, evictions, deadline
@@ -35,8 +34,8 @@
 //!   pipelining (`send` ids now, `wait` for them later).
 //!
 //! Determinism is preserved end to end: a request's response is a
-//! pure function of the request document — independent of worker
-//! count, queue order and co-tenant requests — so a `cell` served
+//! pure function of the request document — independent of executor
+//! count, run order and co-tenant requests — so a `cell` served
 //! concurrently is byte-identical to the batch pipeline (pinned by
 //! `tests/loopback.rs`).
 //!

@@ -14,14 +14,14 @@
 //!   and hands them to the protocol layer. Control-plane requests
 //!   (`stats`, `resize`, `shutdown`) are answered inline; evaluation
 //!   requests are admitted to their shard.
-//! * **Write** — workers never touch the socket: they append rendered
+//! * **Write** — executors never touch the socket: they append rendered
 //!   responses to the connection's outbox ([`Conn::send`]) and wake
 //!   the loop, which flushes as much as each socket accepts. Pipelined
 //!   responses cannot interleave because only the multiplexer writes.
 //! * **Park** — a tick that made no progress parks on a condvar with
 //!   a short timeout (`poll_interval`), so an idle server burns a few
 //!   wakeups per millisecond instead of a thread per connection, and
-//!   a worker finishing a response wakes it immediately.
+//!   an executor finishing a response wakes it immediately.
 //!
 //! A connection is reaped once its peer closed (or broke framing) and
 //! every in-flight response has been flushed — in-flight is tracked by
@@ -38,8 +38,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wakes the multiplexer when a worker queues a response (or a
-/// dispatcher exits during a drain).
+/// Wakes the multiplexer when an executor queues a response (or exits
+/// during a drain).
 #[derive(Debug, Default)]
 pub(crate) struct MuxWaker {
     pending: Mutex<bool>,
@@ -66,7 +66,7 @@ impl MuxWaker {
     }
 }
 
-/// The write half of one connection, shared with evaluation workers:
+/// The write half of one connection, shared with the executors:
 /// responses are rendered into the outbox under its lock and the
 /// multiplexer flushes them to the socket.
 #[derive(Debug, Default)]
@@ -107,7 +107,7 @@ impl Conn {
 }
 
 /// One multiplexed connection: the socket, its partial-frame read
-/// buffer, and the worker-shared write half.
+/// buffer, and the executor-shared write half.
 struct MuxConn {
     stream: TcpStream,
     conn: Arc<Conn>,
@@ -123,7 +123,7 @@ struct MuxConn {
 }
 
 /// Run the readiness loop until shutdown completes. Returns when the
-/// drain is finished: no admissions, every dispatcher exited, every
+/// drain is finished: no admissions, every executor exited, every
 /// queued response flushed (or its connection gone).
 pub(crate) fn mux_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     listener
@@ -189,7 +189,7 @@ pub(crate) fn mux_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         });
 
         if inner.shutdown.load(Ordering::SeqCst)
-            && inner.pool.active_dispatchers() == 0
+            && inner.pool.active_executors() == 0
             && conns.iter().all(|mc| mc.conn.is_drained())
         {
             return;

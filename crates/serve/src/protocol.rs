@@ -62,8 +62,8 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 4 << 20;
 pub const MAX_SOLVE_RESOLUTION: usize = 512;
 
 /// Largest accepted shard count for a `resize` request: each shard
-/// carries its own engine, prep cache and dispatcher thread, so an
-/// unbounded value would let one control request exhaust the process.
+/// carries its own engine and prep cache, so an unbounded value would
+/// let one control request exhaust the process.
 pub const MAX_SHARDS: usize = 256;
 
 /// Machine-readable error classes of the `error.code` response field.
@@ -899,8 +899,8 @@ pub struct ShardStats {
     pub expired: u64,
     /// Requests whose evaluation failed.
     pub failed: u64,
-    /// Cumulative microseconds this shard's dispatcher spent
-    /// evaluating requests (its share of the timing picture).
+    /// Cumulative microseconds executors spent evaluating this shard's
+    /// requests (its share of the timing picture).
     pub busy_micros: u64,
     /// This shard's preparation-cache hits.
     pub cache_hits: u64,
@@ -1002,7 +1002,7 @@ impl ShardStats {
 pub struct ServerStats {
     /// Microseconds since the server started.
     pub uptime_micros: u64,
-    /// Evaluation worker count (the fan-out width of one batch).
+    /// Executor count: requests evaluated at once, across all shards.
     pub workers: usize,
     /// Admission queue bound.
     pub queue_capacity: usize,
@@ -1043,9 +1043,9 @@ pub struct ServerStats {
     /// Cumulative microseconds spent evaluating fitted models.
     pub eval_micros: u64,
     /// Worker-pool tasks executed by pool workers (process-global; see
-    /// `poisongame_exec::WorkerPool::stats`). Shard dispatchers fan
-    /// batches out through the shared pool, so these counters describe
-    /// every shard together.
+    /// `poisongame_exec::WorkerPool::stats`). Parallelism inside
+    /// requests of every shard runs on the shared pool, so these
+    /// counters describe every shard together.
     pub pool_tasks: u64,
     /// Worker-pool tasks executed inline by submitting threads
     /// participating in their own batches.

@@ -6,8 +6,8 @@
 //!   ([`crate::mux`]) replaces thread-per-connection: it accepts,
 //!   parses frames, answers `stats`/`resize`/`shutdown` inline (they
 //!   stay responsive even when evaluation is saturated) and flushes
-//!   worker-queued responses. Thousands of idle pipelined connections
-//!   cost one thread.
+//!   executor-queued responses. Thousands of idle pipelined
+//!   connections cost one thread.
 //! * **Shard pool** — evaluation requests are admitted to one of N
 //!   independent engine shards ([`crate::shard`]), routed by
 //!   prep-key affinity (`content hash % N` — same preparation, same
@@ -16,32 +16,34 @@
 //! * **Admission** — each shard's queue is bounded. A full queue sheds
 //!   the request with a structured `busy` error immediately; the
 //!   server never buffers unboundedly and never blocks the
-//!   multiplexer on evaluation.
-//! * **Dispatchers** — one per shard: each drains its queue in batches
-//!   and routes each batch through [`prepare_then_map`], so distinct
-//!   dataset preparations are computed once per batch and answered
-//!   from the shard's bounded prep cache across batches, then cells
-//!   fan out across the process-wide worker pool
-//!   (`poisongame_sim::exec::pool`) — the per-shard `workers` setting
-//!   is a concurrency cap on that fan-out, not a set of dedicated
-//!   threads, so an idle shard reserves no cores from a busy one and
-//!   no batch pays thread spawn/join churn. A request's response is
-//!   queued from its evaluation task, so cheap requests in a batch
-//!   complete while expensive ones still run.
+//!   multiplexer on evaluation. Every admitted job carries a
+//!   deterministic work estimate computed from its request document
+//!   ([`work_estimate`]).
+//! * **Executors** — `workers` threads shared by every shard run the
+//!   jobs, one job at a time each, to completion. They take jobs from
+//!   one run list, which is refilled a generation at a time from every
+//!   shard queue and ordered cheapest first (ties in admission order),
+//!   so a cheap `solve` is never stuck behind expensive cells that
+//!   were admitted with it. Parallelism *inside* one request
+//!   (`eval_threads`, pooled `gemm_nt` bands, the helper of a big
+//!   multiplicative-weights solve) runs on the process-wide worker
+//!   pool (`poisongame_sim::exec::pool`).
 //! * **Deadlines** — checked when evaluation is about to start; an
 //!   expired request is answered with a `deadline` error instead of
-//!   being evaluated. Running evaluations are never preempted.
+//!   being evaluated. Running evaluations are never preempted, and an
+//!   expensive job runs after the cheaper jobs of its generation, so
+//!   under load its deadline can pass while it waits.
 //! * **Resize** — a `resize` request re-splits the pool: new shards
-//!   (cold caches) take over admission, old shards drain every queued
-//!   job before their dispatchers exit. No in-flight request is
+//!   (cold caches) take over admission, and the executors still run
+//!   every job the old shards admitted. No in-flight request is
 //!   dropped.
 //! * **Shutdown** — a `shutdown` request is acked, then the server
 //!   stops admitting, finishes every queued request, flushes every
 //!   response, and `run` returns.
 //!
-//! Responses are pure functions of their request document: worker
-//! count, shard count, queue order and co-tenant requests never
-//! change a result (see `tests/loopback.rs` and `tests/sharding.rs`).
+//! Responses are pure functions of their request document: executor
+//! count, shard count, run order and co-tenant requests never change a
+//! result (see `tests/loopback.rs` and `tests/sharding.rs`).
 
 use crate::mux::{mux_loop, Conn, MuxWaker};
 use crate::protocol::{
@@ -51,14 +53,14 @@ use crate::protocol::{
 use crate::shard::{Admission, Shard, ShardPool};
 use crate::telemetry::{self, Telemetry};
 use poisongame_core::bridge::solve_discretized_with;
-use poisongame_core::{CostCurve, EffectCurve, PoisonGame};
+use poisongame_core::{CostCurve, EffectCurve, PoisonGame, SolverKind, AUTO_EXACT_LIMIT};
+use poisongame_data::synth::{SPAMBASE_DIM, SPAMBASE_ROWS};
 use poisongame_obs::{EventLog, Registry};
 use poisongame_online::run_online_prepared;
 use poisongame_sim::engine::{config_prep_key, PrepKey};
 use poisongame_sim::estimate::estimate_curves_prepared;
-use poisongame_sim::exec::prepare_then_map;
 use poisongame_sim::jsonio::Json;
-use poisongame_sim::pipeline::{Prepared, PreparedData};
+use poisongame_sim::pipeline::{DataSource, ExperimentConfig, Prepared, PreparedData};
 use poisongame_sim::scenario::run_matrix_prepared;
 use poisongame_sim::{ExecPolicy, SimError};
 use std::io;
@@ -75,17 +77,18 @@ pub struct ServerConfig {
     /// via [`Server::local_addr`]).
     pub addr: String,
     /// Engine shard count: independent evaluation engines, each with
-    /// its own bounded prep cache, admission queue and dispatcher.
-    /// Requests route by prep-key affinity. `0` is treated as 1.
+    /// its own bounded prep cache and admission queue. Requests route
+    /// by prep-key affinity. `0` is treated as 1.
     pub shards: usize,
-    /// Evaluation concurrency cap — how many shared-pool threads may
-    /// work one admitted batch on one shard; `0` means one per
-    /// hardware thread. Since the shared pool replaced per-batch
-    /// scoped threads, this caps participation in the process-wide
-    /// [`poisongame_sim::exec::pool::WorkerPool`] rather than sizing a
-    /// dedicated per-shard pool.
+    /// Executor threads, in total across all shards; `0` means one per
+    /// hardware thread. Each executor runs one request at a time to
+    /// completion, taking the cheapest waiting request of the current
+    /// generation (see [`crate::shard`]), so this is the number of
+    /// requests evaluated at once. Parallelism inside one request is
+    /// set by `eval_threads`, not here.
     pub workers: usize,
-    /// Per-shard admission queue bound: requests beyond it are shed
+    /// Per-shard admission queue bound: admitted requests that have
+    /// not started count against it, and requests beyond it are shed
     /// with a structured `busy` error.
     pub queue_capacity: usize,
     /// Per-shard preparation-cache bound (`None` = unbounded, like
@@ -160,19 +163,22 @@ pub(crate) struct Job {
     pub request: Request,
     pub deadline: Option<Instant>,
     /// The dataset preparation this request needs (`None` for `solve`,
-    /// which prepares nothing) — precomputed so affinity routing and
-    /// batch deduplication are a hash away.
+    /// which prepares nothing) — precomputed so affinity routing is a
+    /// hash away.
     pub prep_key: Option<PrepKey>,
+    /// [`work_estimate`] of the request: the run list's order.
+    pub cost: u64,
+    /// Admission order: the run list's tie-break.
+    pub seq: u64,
     pub conn: Arc<Conn>,
     /// When the multiplexer admitted the job; the queue-wait
     /// histograms record the span from here to service start.
     pub admitted_at: Instant,
 }
 
-/// State shared by the multiplexer and the shard dispatchers.
+/// State shared by the multiplexer and the executors.
 pub(crate) struct Inner {
     pub pool: ShardPool,
-    pub worker_policy: ExecPolicy,
     pub eval_policy: ExecPolicy,
     pub workers: usize,
     pub queue_capacity: usize,
@@ -190,8 +196,8 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Wake the multiplexer (a worker queued a response, or a
-    /// dispatcher exited during a drain).
+    /// Wake the multiplexer (an executor queued a response, or exited
+    /// during a drain).
     pub fn wake_mux(&self) {
         self.waker.wake();
     }
@@ -199,8 +205,8 @@ impl Inner {
     /// Route a job to its shard and admit it, or answer it with a
     /// structured rejection. Admission runs only on the multiplexer
     /// thread — the same thread that flips the shutdown flag and
-    /// swaps the shard set — so an admitted job is always drained by
-    /// its shard's dispatcher, never stranded.
+    /// swaps the shard set — so an admitted job is always run by an
+    /// executor, never stranded.
     fn admit(&self, mut job: Job) {
         if self.shutdown.load(Ordering::SeqCst) {
             let response = Response::err(
@@ -229,7 +235,10 @@ impl Inner {
                     .expect("shard pool is never empty"),
             };
             match shard.admit(job) {
-                Admission::Queued => return,
+                Admission::Queued => {
+                    self.pool.job_queued();
+                    return;
+                }
                 Admission::Full(job) => {
                     Counters::bump(&self.counters.shed);
                     self.telemetry.note_shed(
@@ -256,13 +265,12 @@ impl Inner {
         }
     }
 
-    /// Flip to draining: reject new admissions and wake every shard
-    /// dispatcher so the backlog drains and the multiplexer can
-    /// finish. Called on the multiplexer thread, so no admission can
-    /// race the flag.
+    /// Flip to draining: reject new admissions and wake every executor
+    /// so the backlog drains and the multiplexer can finish. Called on
+    /// the multiplexer thread, so no admission can race the flag.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.pool.notify_all();
+        self.pool.wake_all();
         self.wake_mux();
     }
 
@@ -292,9 +300,9 @@ impl Inner {
         // Process-global phase counters (never per-response: responses
         // to identical requests must stay byte-identical).
         let timing = poisongame_sim::timing::snapshot();
-        // Shared-pool counters: shard dispatchers fan batches out
-        // through the process-wide worker pool, so one snapshot covers
-        // every shard.
+        // Shared-pool counters: nested parallelism inside requests runs
+        // on the process-wide worker pool, so one snapshot covers every
+        // shard.
         let pool_stats = poisongame_sim::exec::pool::WorkerPool::global().stats();
         ServerStats {
             uptime_micros: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
@@ -344,8 +352,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let eval_policy = ExecPolicy::with_threads(config.eval_threads);
-        let worker_policy = ExecPolicy::with_threads(config.workers);
-        let workers = worker_policy.effective_threads(usize::MAX);
+        let workers = ExecPolicy::with_threads(config.workers).effective_threads(usize::MAX);
         let pool = ShardPool::new(
             config.shards.max(1),
             config.queue_capacity,
@@ -356,7 +363,6 @@ impl Server {
             listener,
             inner: Arc::new(Inner {
                 pool,
-                worker_policy,
                 eval_policy,
                 workers,
                 queue_capacity: config.queue_capacity,
@@ -391,7 +397,7 @@ impl Server {
     /// close that connection.
     pub fn run(self) -> io::Result<ServerStats> {
         let inner = self.inner;
-        inner.pool.spawn_dispatchers(&inner);
+        inner.pool.spawn_executors(&inner, inner.workers);
         mux_loop(&inner, &self.listener);
         inner.pool.join_all();
         Ok(inner.stats())
@@ -464,7 +470,7 @@ pub(crate) fn handle_line(inner: &Arc<Inner>, conn: &Arc<Conn>, line: &str) {
             telemetry::replay_to_json(&EventLog::global().since(*since)),
         )),
         RequestKind::Resize { shards } => {
-            inner.pool.resize(inner, *shards);
+            inner.pool.resize(*shards);
             conn.send(&Response::ok(
                 request.id,
                 Json::obj(vec![("shards", Json::Num(*shards as f64))]),
@@ -483,10 +489,13 @@ pub(crate) fn handle_line(inner: &Arc<Inner>, conn: &Arc<Conn>, line: &str) {
                 .or(inner.default_deadline_ms)
                 .map(|ms| Instant::now() + Duration::from_millis(ms));
             let prep_key = prep_key_of(&request);
+            let cost = work_estimate(&request.kind);
             inner.admit(Job {
                 request,
                 deadline,
                 prep_key,
+                cost,
+                seq: inner.pool.next_seq(),
                 conn: Arc::clone(conn),
                 admitted_at: Instant::now(),
             });
@@ -551,82 +560,102 @@ fn prep_key_of(request: &Request) -> Option<PrepKey> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch (one loop per shard)
-// ---------------------------------------------------------------------------
-
-/// A batch's phase-1 product per job: nothing for `solve`, the shared
-/// (or failed) preparation otherwise.
-type BatchPrep = Option<Result<Arc<PreparedData>, SimError>>;
-
-pub(crate) fn dispatch_loop(inner: &Arc<Inner>, shard: &Arc<Shard>) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = shard.queue.lock().expect("shard queue poisoned");
-            loop {
-                if !queue.is_empty() {
-                    break queue.drain(..).collect();
-                }
-                // Exit only on an empty queue: every admitted job is
-                // drained, through shutdown and retirement alike.
-                if inner.shutdown.load(Ordering::SeqCst) || shard.retired.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shard.queue_cv.wait(queue).expect("shard queue poisoned");
-            }
-        };
-        let start = Instant::now();
-        process_batch(inner, shard, batch);
-        shard.counters.busy_micros.fetch_add(
-            start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        shard.obs.sync_cache(shard.engine.cache_stats());
-    }
-}
-
-/// Route one admitted batch through the two-phase task graph: distinct
-/// preparations once (answered from the shard's store when warm), then
-/// every job evaluated across the shard's worker pool, each queueing
-/// its own response as it finishes.
+/// Work estimate of an evaluation request, in multiply-adds: the
+/// order the executors run a generation in (cheapest first). It is a
+/// deterministic function of the request document, computed once at
+/// admission, and only needs to rank requests, not to predict their
+/// time.
 ///
-/// Jobs whose deadline already expired while queued are rejected up
-/// front — before phase 1 — so a dead request never pays for (or
-/// pollutes the bounded cache with) a dataset preparation.
-fn process_batch(inner: &Inner, shard: &Shard, batch: Vec<Job>) {
-    let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = batch
-        .into_iter()
-        .partition(|job| job.deadline.map_or(true, |deadline| now <= deadline));
-    for job in &expired {
-        Counters::bump(&inner.counters.expired);
-        Counters::bump(&shard.counters.expired);
-        inner.telemetry.note_deadline_missed(
-            job.request.kind.type_name(),
-            job.request.id,
-            shard.index,
-        );
-        job.conn.send(&Response::err(
-            Some(job.request.id),
-            ErrorCode::Deadline,
-            "deadline expired before evaluation started",
-        ));
-    }
-    let outcome: Result<Vec<()>, ()> = prepare_then_map(
-        &inner.worker_policy,
-        &live,
-        |job| job.prep_key.clone(),
-        |key: &Option<PrepKey>| Ok(key.as_ref().map(|k| shard.engine.prepare_shared(k))),
-        |_, job, prep: &BatchPrep| {
-            job.conn.send(&execute(inner, shard, job, prep));
-            Ok(())
-        },
-    );
-    debug_assert!(outcome.is_ok(), "batch closures are infallible");
+/// * One model fit of a config costs `training rows × epochs ×
+///   features`: the rows are the source's (`synthetic_spambase` rows,
+///   both `blobs` classes, `csv_text` lines, and the Spambase size for
+///   a `file`, whose length the document does not carry) less the
+///   test fraction; the features are the Spambase width, or `dim` for
+///   `blobs`.
+/// * A `cell` counts 2 fits (the fit, plus the attack, filter and
+///   held-out evaluation around it); a `matrix` 1 + one per cell; an
+///   `estimate` 1 + one per placement + one per strength other than
+///   `+0.0` (which reuses the baseline); an `online` game 1 + one per
+///   payoff cell, plus `rounds × cells` learner updates.
+/// * A `solve` at resolution `r` plays an `m × n = (r+2) × (r+1)`
+///   game and costs what its solver touches: `(m + n) × m·n` for the
+///   LP (about `m + n` pivots over the tableau) and `20,000 rounds ×
+///   2 × m·n` for multiplicative weights, and the same for fictitious
+///   play. `auto` takes the LP up to [`AUTO_EXACT_LIMIT`] actions a
+///   side.
+///
+/// So a resolution-40 solve (~1.5e5) ranks below a 300-row, 20-epoch
+/// cell (~4.8e5), which ranks below an estimate of the same config over
+/// two placements and two strengths (~9.6e5).
+pub(crate) fn work_estimate(kind: &RequestKind) -> u64 {
+    let fits = |config: &ExperimentConfig, count: usize| -> f64 {
+        let (rows, features) = match &config.source {
+            DataSource::SyntheticSpambase { rows } => (*rows, SPAMBASE_DIM),
+            DataSource::Blobs { per_class, dim, .. } => (per_class.saturating_mul(2), *dim),
+            DataSource::CsvText { text } => (text.lines().count(), SPAMBASE_DIM),
+            DataSource::File { .. } => (SPAMBASE_ROWS, SPAMBASE_DIM),
+        };
+        let train = (rows as f64 * (1.0 - config.test_fraction)).max(1.0);
+        count as f64 * train * config.epochs.max(1) as f64 * features.max(1) as f64
+    };
+    let cost = match kind {
+        RequestKind::Solve(req) => {
+            let (m, n) = (req.resolution as f64 + 2.0, req.resolution as f64 + 1.0);
+            let exact = match req.solver {
+                SolverKind::Auto => req.resolution.saturating_add(2) <= AUTO_EXACT_LIMIT,
+                SolverKind::Simplex => true,
+                SolverKind::FictitiousPlay | SolverKind::MultiplicativeWeights => false,
+            };
+            if exact {
+                (m + n) * m * n
+            } else {
+                20_000.0 * 2.0 * m * n
+            }
+        }
+        RequestKind::Cell(req) => fits(&req.config, 2),
+        RequestKind::Matrix(req) => fits(&req.config, 1 + req.matrix.len()),
+        RequestKind::Estimate(req) => {
+            let clean = req
+                .strengths
+                .iter()
+                .filter(|s| s.to_bits() != 0.0f64.to_bits())
+                .count();
+            fits(&req.config, 1 + req.placements.len() + clean)
+        }
+        RequestKind::Online(req) => {
+            let cells = req.spec.n_cells();
+            fits(&req.config, 1 + cells) + req.spec.rounds as f64 * cells as f64
+        }
+        RequestKind::Stats
+        | RequestKind::Metrics
+        | RequestKind::Events { .. }
+        | RequestKind::Resize { .. }
+        | RequestKind::Shutdown => 0.0,
+    };
+    // Saturating: `as` clamps huge and non-finite values.
+    cost as u64
 }
 
-/// Evaluate one job into its response (deadline gate first).
-fn execute(inner: &Inner, shard: &Shard, job: &Job, prep: &BatchPrep) -> Response {
+// ---------------------------------------------------------------------------
+// Execution (on an executor thread)
+// ---------------------------------------------------------------------------
+
+/// Run one job to completion against its shard's engine and queue its
+/// response.
+pub(crate) fn run_job(inner: &Inner, shard: &Shard, job: Job) {
+    let start = Instant::now();
+    job.conn.send(&execute(inner, shard, &job));
+    shard.counters.busy_micros.fetch_add(
+        start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+        Ordering::Relaxed,
+    );
+    shard.obs.sync_cache(shard.engine.cache_stats());
+}
+
+/// Evaluate one job into its response. The deadline gate comes first,
+/// so an expired request never pays for (or pollutes the bounded cache
+/// with) a dataset preparation.
+fn execute(inner: &Inner, shard: &Shard, job: &Job) -> Response {
     let id = job.request.id;
     let kind = job.request.kind.type_name();
     let service_start = Instant::now();
@@ -643,14 +672,13 @@ fn execute(inner: &Inner, shard: &Shard, job: &Job, prep: &BatchPrep) -> Respons
             );
         }
     }
+    // The shard's cache is single-flight: executors preparing the same
+    // key at once build it once and share it.
     let shared = || -> Result<Arc<PreparedData>, SimError> {
-        match prep {
-            Some(Ok(data)) => Ok(Arc::clone(data)),
-            Some(Err(e)) => Err(e.clone()),
-            None => Err(SimError::Spec(
-                "internal: evaluation request without a preparation".into(),
-            )),
-        }
+        let key = job.prep_key.as_ref().ok_or_else(|| {
+            SimError::Spec("internal: evaluation request without a preparation".into())
+        })?;
+        shard.engine.prepare_shared(key)
     };
     let result: Result<Json, SimError> = match &job.request.kind {
         RequestKind::Solve(req) => run_solve(req),
@@ -731,4 +759,89 @@ fn run_solve(req: &SolveRequest) -> Result<Json, SimError> {
         attacker_support: solution.attacker_support.clone(),
     }
     .to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::{CellRequest, EstimateRequest};
+
+    fn config(rows: usize) -> ExperimentConfig {
+        ExperimentConfig {
+            source: DataSource::SyntheticSpambase { rows },
+            epochs: 20,
+            ..ExperimentConfig::paper()
+        }
+    }
+
+    fn solve(resolution: usize, solver: SolverKind) -> RequestKind {
+        RequestKind::Solve(SolveRequest {
+            effect_samples: vec![(0.0, 2.0e-4), (0.2, 4.0e-5), (0.45, -1.0e-6)],
+            cost_samples: vec![(0.0, 0.0), (0.2, 0.022), (0.4, 0.065)],
+            n_points: 644,
+            resolution,
+            solver,
+        })
+    }
+
+    #[test]
+    fn work_estimate_ranks_solve_below_cell_below_estimate() {
+        let cell = RequestKind::Cell(CellRequest {
+            config: config(300),
+            ..CellRequest::default()
+        });
+        let estimate = |strengths: Vec<f64>| {
+            RequestKind::Estimate(EstimateRequest {
+                config: config(300),
+                placements: vec![0.05, 0.2],
+                strengths,
+            })
+        };
+        let lp = work_estimate(&solve(40, SolverKind::Auto));
+        let cell = work_estimate(&cell);
+        // Five cells, four after the +0.0 strength reuses the baseline.
+        let five = work_estimate(&estimate(vec![0.0, 0.2]));
+        assert!(lp < cell, "solve {lp} vs cell {cell}");
+        assert!(cell < five, "cell {cell} vs estimate {five}");
+        assert!(five < work_estimate(&estimate(vec![0.1, 0.2])));
+        // A solve past the LP limit runs multiplicative weights and
+        // outweighs the cell; the estimate is a pure function of the
+        // document.
+        let mw = work_estimate(&solve(150, SolverKind::Auto));
+        assert!(mw > cell);
+        assert_eq!(
+            mw,
+            work_estimate(&solve(150, SolverKind::MultiplicativeWeights))
+        );
+        assert!(work_estimate(&solve(150, SolverKind::Simplex)) < mw);
+        assert_eq!(lp, work_estimate(&solve(40, SolverKind::Auto)));
+    }
+
+    #[test]
+    fn idle_executors_stay_parked() {
+        let server = Server::bind(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let inner = Arc::clone(&server.inner);
+        let handle = server.spawn();
+        let idle = || {
+            let before = inner.pool.wakeups();
+            thread::sleep(Duration::from_millis(300));
+            inner.pool.wakeups() - before
+        };
+        // A polling executor would wake thousands of times here.
+        assert_eq!(idle(), 0, "a fresh server's executors wake up");
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .call(solve(20, SolverKind::Auto), None)
+            .expect("solve");
+        assert!(inner.pool.wakeups() >= 1, "admission woke an executor");
+        assert_eq!(idle(), 0, "executors park again after the work");
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server exit");
+    }
 }

@@ -1,10 +1,10 @@
-//! The engine shard pool.
+//! The engine shards and the executors that run their jobs.
 //!
 //! One [`EvalEngine`] behind one bounded queue serializes every
-//! preparation-cache lookup and admission decision through a single
-//! dispatcher. The pool splits the engine into N independent shards —
-//! each with its own bounded prep cache, bounded admission queue and
-//! dispatcher thread — and routes requests by **prep-key affinity**:
+//! preparation-cache lookup and admission decision. The pool splits
+//! the engine into N independent shards — each with its own bounded
+//! prep cache and bounded admission queue — and routes requests by
+//! **prep-key affinity**:
 //!
 //! * A request with a preparation key (everything except `solve`) is
 //!   routed to shard `content_hash(key) % N`, so every request for the
@@ -13,26 +13,40 @@
 //!   never evict another shard's entries.
 //! * A request with no preparation key (`solve`) has no locality to
 //!   protect; the documented fallback policy is **least-loaded**:
-//!   the shard with the shortest queue, ties broken by lowest index.
+//!   the shard with the fewest waiting jobs, ties broken by lowest
+//!   index.
+//!
+//! **Executors.** Jobs are run by a fixed set of executor threads
+//! shared by every shard (`ServerConfig::workers` of them), not by a
+//! thread per shard. They share one *run list*. An executor takes the
+//! next job from it; when it is empty, the executor seals a new
+//! **generation**: it drains every shard queue into the run list,
+//! ordered by the jobs' work estimates, cheapest first, ties in
+//! admission order. So a cheap `solve` admitted behind expensive cells
+//! starts before them, and because a generation is sealed only once
+//! the previous one has been handed out, a job of a later generation
+//! never starts before one of an earlier generation — nothing starves.
+//! Each job runs to completion on its executor against its own
+//! shard's engine; with one executor per core, jobs never time-slice
+//! a core with each other. An executor with nothing to run parks on a
+//! condvar that admission notifies; an idle server wakes no thread.
+//!
+//! A job waiting in the run list still counts against its shard's
+//! queue bound, so the bound covers every admitted job that has not
+//! started.
 //!
 //! [`ShardPool::resize`] re-splits the pool without dropping in-flight
-//! requests: new shards (fresh engines, cold caches) are spawned and
-//! swapped in, then the old shards are retired — their dispatchers
-//! finish every queued job and exit. Admission and retirement of a
+//! requests: new shards (fresh engines, cold caches) are swapped in and
+//! the old shards are retired. A retired shard admits nothing more and
+//! stays visible to the executors until its queue has been sealed, so
+//! every job it admitted is still run. Admission and retirement of a
 //! shard are serialized through its queue lock, so a job is always
-//! either drained by its shard's dispatcher or re-routed to the new
-//! pool — never stranded.
+//! either sealed from its shard or re-routed to the new pool — never
+//! stranded.
 //!
 //! Responses are pure functions of their request documents, so the
-//! shard count (like the worker count) never changes a result; see
-//! `tests/sharding.rs` for the pinned byte-identity.
-//!
-//! Only the *dispatcher* thread is per-shard. The cells of a drained
-//! batch fan out across the process-wide worker pool
-//! (`poisongame_sim::exec::pool`) with the shard's `workers` setting
-//! as a participation cap, so shards share one set of long-lived
-//! threads instead of each spawning scoped workers per batch — an
-//! idle shard reserves no cores from a busy one.
+//! shard count, executor count and run order never change a result;
+//! see `tests/sharding.rs` for the pinned byte-identity.
 
 use crate::server::{Inner, Job};
 use crate::telemetry::ShardObs;
@@ -56,18 +70,17 @@ pub(crate) struct ShardCounters {
 }
 
 /// One engine shard: an independent evaluation engine (own bounded
-/// prep cache), a bounded admission queue, and the state its
-/// dispatcher thread runs on.
+/// prep cache) and a bounded admission queue.
 pub(crate) struct Shard {
     pub index: usize,
     pub engine: EvalEngine,
-    pub queue: Mutex<VecDeque<Job>>,
-    pub queue_cv: Condvar,
+    queue: Mutex<VecDeque<Job>>,
     pub queue_capacity: usize,
+    /// Jobs sealed into the run list that no executor has taken yet.
+    sealed: AtomicUsize,
     /// Set (under the queue lock) when a resize replaces this shard:
-    /// the dispatcher drains the backlog and exits, and admission
-    /// re-routes to the new pool.
-    pub retired: AtomicBool,
+    /// admission re-routes to the new pool from then on.
+    retired: AtomicBool,
     pub counters: ShardCounters,
     /// Registry-backed handles for this shard's label. Resized shards
     /// with the same index reuse the same underlying metrics, so the
@@ -81,24 +94,25 @@ impl Shard {
             index,
             engine,
             queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             queue_capacity,
+            sealed: AtomicUsize::new(0),
             retired: AtomicBool::new(false),
             counters: ShardCounters::default(),
             obs: ShardObs::register(index),
         }
     }
 
-    /// Snapshot of this shard's queue depth (locking; used by routing
-    /// and stats).
+    /// Admitted jobs that have not started: still queued, or sealed
+    /// into the run list (used by routing, stats and the queue bound).
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().expect("shard queue poisoned").len()
+        let queue = self.queue.lock().expect("shard queue poisoned");
+        queue.len() + self.sealed.load(Ordering::SeqCst)
     }
 }
 
 /// Outcome of one admission attempt on a single shard.
 pub(crate) enum Admission {
-    /// Queued; the dispatcher will answer it.
+    /// Queued; an executor will answer it.
     Queued,
     /// The shard's queue is full; the job is handed back for a `busy`
     /// response.
@@ -111,52 +125,71 @@ pub(crate) enum Admission {
 
 impl Shard {
     /// Try to queue a job. Admission and retirement are serialized
-    /// through the queue lock: a queued job is guaranteed to be
-    /// drained by this shard's dispatcher (which only exits on an
-    /// empty queue).
+    /// through the queue lock: a job queued here is sealed by an
+    /// executor even if the shard is retired right after.
     pub fn admit(&self, job: Job) -> Admission {
         let mut queue = self.queue.lock().expect("shard queue poisoned");
         if self.retired.load(Ordering::SeqCst) {
             return Admission::Retired(job);
         }
-        if queue.len() >= self.queue_capacity {
+        if queue.len() + self.sealed.load(Ordering::SeqCst) >= self.queue_capacity {
             self.counters.shed.fetch_add(1, Ordering::Relaxed);
             return Admission::Full(job);
         }
         queue.push_back(job);
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_cv.notify_all();
         Admission::Queued
     }
 
-    /// Retire this shard (under its queue lock) and wake its
-    /// dispatcher so it drains and exits.
+    /// Retire this shard under its queue lock: nothing is admitted to
+    /// it afterwards.
     fn retire(&self) {
         let _queue = self.queue.lock().expect("shard queue poisoned");
         self.retired.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+    }
+
+    /// Move every queued job into `into`, counting them as sealed.
+    fn seal_into(self: &Arc<Self>, into: &mut Vec<(Arc<Shard>, Job)>) {
+        let mut queue = self.queue.lock().expect("shard queue poisoned");
+        self.sealed.fetch_add(queue.len(), Ordering::SeqCst);
+        into.extend(queue.drain(..).map(|job| (Arc::clone(self), job)));
     }
 }
 
-/// The pool: the current shard set behind a read-mostly lock, plus the
-/// dispatcher thread handles of every shard generation (current and
-/// retired — all joined at shutdown).
+/// The run list: the sealed generation not yet handed out, plus the
+/// retired shards whose queues the next seal must still drain.
+#[derive(Default)]
+struct RunList {
+    /// Cheapest first.
+    jobs: VecDeque<(Arc<Shard>, Job)>,
+    retired: Vec<Arc<Shard>>,
+}
+
+/// The pool: the current shard set behind a read-mostly lock, the run
+/// list the executors share, and the executor threads.
 pub(crate) struct ShardPool {
     shards: RwLock<Arc<Vec<Arc<Shard>>>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Dispatchers that have not exited yet (current + still-draining
-    /// retired ones). The multiplexer waits for zero before finishing
-    /// a drain.
-    active_dispatchers: AtomicUsize,
+    run: Mutex<RunList>,
+    /// Executors with nothing to run park here; admission, resize and
+    /// shutdown notify it.
+    ready: Condvar,
+    executors: Mutex<Vec<JoinHandle<()>>>,
+    /// Executors that have not exited yet. The multiplexer waits for
+    /// zero before finishing a drain.
+    active_executors: AtomicUsize,
+    /// Times a parked executor woke up (an idle server adds none).
+    wakeups: AtomicU64,
+    /// Admission order: the run list's tie-break.
+    next_seq: AtomicU64,
     queue_capacity: usize,
     cache_capacity: Option<usize>,
     eval_policy: ExecPolicy,
 }
 
 impl ShardPool {
-    /// Build the pool's state with `shards` cold shards. Dispatchers
-    /// are not running yet — call [`ShardPool::spawn_dispatchers`]
-    /// once the shared server state exists.
+    /// Build the pool's state with `shards` cold shards. Executors are
+    /// not running yet — call [`ShardPool::spawn_executors`] once the
+    /// shared server state exists.
     pub fn new(
         shards: usize,
         queue_capacity: usize,
@@ -165,8 +198,12 @@ impl ShardPool {
     ) -> Self {
         let pool = Self {
             shards: RwLock::new(Arc::new(Vec::new())),
-            handles: Mutex::new(Vec::new()),
-            active_dispatchers: AtomicUsize::new(0),
+            run: Mutex::new(RunList::default()),
+            ready: Condvar::new(),
+            executors: Mutex::new(Vec::new()),
+            active_executors: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
+            next_seq: AtomicU64::new(0),
             queue_capacity,
             cache_capacity,
             eval_policy,
@@ -194,71 +231,116 @@ impl ShardPool {
         Arc::clone(&self.shards.read().expect("shard set poisoned"))
     }
 
-    /// Dispatchers still running (current plus retired-but-draining).
-    pub fn active_dispatchers(&self) -> usize {
-        self.active_dispatchers.load(Ordering::SeqCst)
+    /// The next admission sequence number.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Spawn one dispatcher thread per current shard.
-    pub fn spawn_dispatchers(&self, inner: &Arc<Inner>) {
-        let shards = self.current();
-        let mut handles = self.handles.lock().expect("dispatcher handles poisoned");
-        for shard in shards.iter() {
-            handles.push(self.spawn_one(inner, shard));
+    /// Executors still running.
+    pub fn active_executors(&self) -> usize {
+        self.active_executors.load(Ordering::SeqCst)
+    }
+
+    /// Times a parked executor has woken up.
+    #[cfg(test)]
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::SeqCst)
+    }
+
+    /// Start `n` executor threads.
+    pub fn spawn_executors(&self, inner: &Arc<Inner>, n: usize) {
+        let mut executors = self.executors.lock().expect("executor handles poisoned");
+        for _ in 0..n {
+            self.active_executors.fetch_add(1, Ordering::SeqCst);
+            let inner = Arc::clone(inner);
+            executors.push(thread::spawn(move || {
+                while let Some((shard, job)) = inner.pool.next_job(&inner.shutdown) {
+                    crate::server::run_job(&inner, &shard, job);
+                }
+                inner.pool.active_executors.fetch_sub(1, Ordering::SeqCst);
+                // A drain may be waiting on the executor count.
+                inner.wake_mux();
+            }));
         }
     }
 
-    fn spawn_one(&self, inner: &Arc<Inner>, shard: &Arc<Shard>) -> JoinHandle<()> {
-        self.active_dispatchers.fetch_add(1, Ordering::SeqCst);
-        let inner = Arc::clone(inner);
-        let shard = Arc::clone(shard);
-        thread::spawn(move || {
-            crate::server::dispatch_loop(&inner, &shard);
-            inner.pool.active_dispatchers.fetch_sub(1, Ordering::SeqCst);
-            // A drain may be waiting on the dispatcher count.
-            inner.wake_mux();
-        })
+    /// Wake one parked executor: a job was just queued. Taking the run
+    /// lock orders the notification after any executor's check of the
+    /// queues, so the wakeup cannot be lost.
+    pub fn job_queued(&self) {
+        let _run = self.run.lock().expect("run list poisoned");
+        self.ready.notify_one();
     }
 
-    /// Re-split the pool to `n` shards: spawn the new generation, swap
-    /// it in, retire the old one. Retired dispatchers finish every
-    /// queued job before exiting, so no in-flight request is dropped;
+    /// Wake every executor (the shutdown flag flipped, or a resize
+    /// retired shards).
+    pub fn wake_all(&self) {
+        let _run = self.run.lock().expect("run list poisoned");
+        self.ready.notify_all();
+    }
+
+    /// The next job to run: the head of the run list, sealing a new
+    /// generation from every shard queue when the list is empty.
+    /// Parks while there is nothing to run; returns `None` once
+    /// `shutdown` is set and every queue is empty.
+    fn next_job(&self, shutdown: &AtomicBool) -> Option<(Arc<Shard>, Job)> {
+        let mut run = self.run.lock().expect("run list poisoned");
+        loop {
+            if let Some((shard, job)) = run.jobs.pop_front() {
+                shard.sealed.fetch_sub(1, Ordering::SeqCst);
+                if !run.jobs.is_empty() {
+                    // Hand the rest of the generation to a parked peer.
+                    self.ready.notify_one();
+                }
+                return Some((shard, job));
+            }
+            let mut sealed = Vec::new();
+            for shard in self.current().iter().chain(&run.retired) {
+                shard.seal_into(&mut sealed);
+            }
+            // A retired shard admits nothing after its retirement, so
+            // one seal empties it for good.
+            run.retired.clear();
+            if !sealed.is_empty() {
+                sealed.sort_by_key(|(_, job)| (job.cost, job.seq));
+                run.jobs = sealed.into();
+                continue;
+            }
+            if shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            run = self.ready.wait(run).expect("run list poisoned");
+            self.wakeups.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Re-split the pool to `n` shards: swap the new generation in and
+    /// retire the old one. The executors still seal every job the
+    /// retired shards admitted, so no in-flight request is dropped;
     /// their caches are released with them (a resize to the same count
     /// is therefore a rebalance with fresh caches).
-    pub fn resize(&self, inner: &Arc<Inner>, n: usize) {
-        let fresh = self.build_shards(n);
-        {
-            let mut handles = self.handles.lock().expect("dispatcher handles poisoned");
-            for shard in &fresh {
-                handles.push(self.spawn_one(inner, shard));
-            }
-        }
-        let old = {
-            let mut shards = self.shards.write().expect("shard set poisoned");
-            std::mem::replace(&mut *shards, Arc::new(fresh))
-        };
+    pub fn resize(&self, n: usize) {
+        let fresh = Arc::new(self.build_shards(n));
+        let mut run = self.run.lock().expect("run list poisoned");
+        let old = std::mem::replace(
+            &mut *self.shards.write().expect("shard set poisoned"),
+            fresh,
+        );
         for shard in old.iter() {
             shard.retire();
+            run.retired.push(Arc::clone(shard));
         }
+        self.ready.notify_all();
+        drop(run);
         crate::telemetry::note_resize(old.len(), n);
     }
 
-    /// Wake every current shard's dispatcher (used when the global
-    /// shutdown flag flips).
-    pub fn notify_all(&self) {
-        for shard in self.current().iter() {
-            let _queue = shard.queue.lock().expect("shard queue poisoned");
-            shard.queue_cv.notify_all();
-        }
-    }
-
-    /// Join every dispatcher thread ever spawned (call after the
-    /// shutdown drain).
+    /// Join every executor thread (call after the shutdown drain).
     pub fn join_all(&self) {
         let handles: Vec<JoinHandle<()>> = self
-            .handles
+            .executors
             .lock()
-            .expect("dispatcher handles poisoned")
+            .expect("executor handles poisoned")
             .drain(..)
             .collect();
         for handle in handles {

@@ -279,10 +279,12 @@ fn zero_capacity_queue_sheds_with_structured_busy() {
 fn expired_deadline_is_a_structured_error() {
     // `deadline_ms: 0` is a protocol error now, so force expiry the
     // honest way: queue a 1 ms-deadline request behind a slow one on a
-    // single-worker server — it expires while waiting its turn. The
+    // single-executor server — it expires while waiting its turn. The
     // slow request is deliberately heavy (large dataset, many epochs:
     // hundreds of ms even in release) so the 1 ms deadline has orders
-    // of magnitude of margin, not a race.
+    // of magnitude of margin, not a race. The executor runs the
+    // cheapest waiting request first, so the cheap doomed request is
+    // sent only once the slow one has started (no request waiting).
     let (addr, handle) = spawn_server(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -300,6 +302,9 @@ fn expired_deadline_is_a_structured_error() {
     let slow = client
         .send(RequestKind::Cell(heavy), None)
         .expect("send slow");
+    while client.stats().expect("stats").queue_depth > 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let doomed = client
         .send(RequestKind::Cell(quick_cell(2, Scenario::paper())), Some(1))
         .expect("send doomed");

@@ -70,18 +70,76 @@ use std::time::Instant;
 /// construction), while `Eq` compares the actual fields (floats by
 /// bit pattern), so a digest collision costs at most a rebuild —
 /// never a wrong cache hit.
+///
+/// A file source without a pinned checksum is keyed by what the file
+/// looked like when the key was built as well: its length and
+/// modification time, or a marker that it was absent. A file rewritten
+/// in place (new mtime) or created after its synthetic fallback was
+/// cached therefore gets a new key and a fresh preparation.
 #[derive(Debug, Clone)]
 pub struct PrepKey {
     hash: u64,
     source: DataSource,
     seed: u64,
     test_fraction: f64,
+    /// `Some` for unpinned file sources only.
+    file_stamp: Option<FileStamp>,
+}
+
+/// What `fs::metadata` reported for an unpinned file source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FileStamp {
+    /// The file does not exist (the preparation is the synthetic
+    /// fallback).
+    Absent,
+    /// The metadata could not be read (the preparation will fail, and
+    /// failures are never cached).
+    Unreadable,
+    /// Length in bytes and modification time in nanoseconds since the
+    /// Unix epoch (`0` where the platform reports none).
+    Present { len: u64, modified_nanos: u64 },
+}
+
+impl FileStamp {
+    fn of(path: &str) -> Self {
+        match std::fs::metadata(path) {
+            Ok(meta) => FileStamp::Present {
+                len: meta.len(),
+                modified_nanos: meta
+                    .modified()
+                    .ok()
+                    .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                    .map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64),
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => FileStamp::Absent,
+            Err(_) => FileStamp::Unreadable,
+        }
+    }
+
+    fn fold(self, h: ContentHash) -> ContentHash {
+        match self {
+            FileStamp::Absent => h.u64(0),
+            FileStamp::Unreadable => h.u64(1),
+            FileStamp::Present {
+                len,
+                modified_nanos,
+            } => h.u64(2).u64(len).u64(modified_nanos),
+        }
+    }
 }
 
 impl PrepKey {
     /// Build the key (and its content hash) for one preparation.
     pub fn new(source: &DataSource, seed: u64, test_fraction: f64) -> Self {
         let h = ContentHash::new().u64(seed).f64(test_fraction);
+        let file_stamp = match source {
+            DataSource::File {
+                path,
+                checksum: None,
+                ..
+            } => Some(FileStamp::of(path)),
+            _ => None,
+        };
         let hash = match source {
             DataSource::SyntheticSpambase { rows } => h.str("synthetic_spambase").u64(*rows as u64),
             DataSource::Blobs {
@@ -101,13 +159,6 @@ impl PrepKey {
             // of the one streaming preparation, and every value gives
             // bit-identical results (pinned by `tests/ingest.rs`), so
             // they share a key — the same precedent as `fused_eval`.
-            //
-            // Caveat: with `checksum: None` the key sees only
-            // (path, format) — the cache cannot observe the file's
-            // bytes, so a file rewritten in place keeps serving the
-            // stale cached preparation for that path until the engine
-            // is rebuilt. Pin a checksum for any long-lived engine or
-            // server (the README's checksum rule).
             DataSource::File {
                 path,
                 checksum,
@@ -117,7 +168,9 @@ impl PrepKey {
                 let h = h.str("file").str(path).str(format);
                 match checksum {
                     Some(c) => h.u64(1).u64(*c),
-                    None => h.u64(0),
+                    None => file_stamp
+                        .expect("unpinned file sources are stamped")
+                        .fold(h.u64(0)),
                 }
             }
         }
@@ -127,6 +180,7 @@ impl PrepKey {
             source: source.clone(),
             seed,
             test_fraction,
+            file_stamp,
         }
     }
 
@@ -194,6 +248,7 @@ impl PartialEq for PrepKey {
         self.hash == other.hash
             && self.seed == other.seed
             && self.test_fraction.to_bits() == other.test_fraction.to_bits()
+            && self.file_stamp == other.file_stamp
             && source_bits_eq(&self.source, &other.source)
     }
 }
@@ -330,10 +385,10 @@ impl EvalEngine {
 
     /// Phase 1 by explicit key: the cached generate → split → scale
     /// product for `key`, shared by `Arc`. This is the hook external
-    /// schedulers (the serving dispatcher's
-    /// [`crate::exec::prepare_then_map`] graph) use to dedupe
-    /// preparations across concurrent requests without going through a
-    /// full config.
+    /// schedulers (the serving executors) use to share preparations
+    /// across concurrent requests without going through a full config;
+    /// the store is single-flight, so concurrent misses on `key`
+    /// prepare it once.
     ///
     /// # Errors
     ///

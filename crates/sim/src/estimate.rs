@@ -215,7 +215,8 @@ enum Cell {
 /// evaluate phase of the engine's prepare → evaluate task graph.
 ///
 /// The baseline, one attacked cell per placement and one clean cell
-/// per strength run as one grid on `policy`. Each cell validates its
+/// per strength run as one grid on `policy`; a strength of `+0.0`
+/// reuses the baseline, which is the same cell. Each cell validates its
 /// own grid value, so the error returned is the one a sequential run
 /// meets first: the baseline's, then the placements' in grid order,
 /// then the strengths'.
@@ -241,9 +242,17 @@ pub fn estimate_curves_prepared(
             value: config.budget_fraction,
         });
     }
+    // A clean cell at strength +0.0 is the baseline's filter → fit →
+    // eval over again, so it reuses the baseline's accuracy.
+    let reuses_baseline = |s: f64| s.to_bits() == 0.0f64.to_bits();
     let cells: Vec<Cell> = std::iter::once(Cell::Baseline)
         .chain(placements.iter().map(|&p| Cell::Attacked(p)))
-        .chain(strengths.iter().map(|&s| Cell::Clean(s)))
+        .chain(
+            strengths
+                .iter()
+                .filter(|&&s| !reuses_baseline(s))
+                .map(|&s| Cell::Clean(s)),
+        )
         .collect();
     let clean_accuracy = |s: f64| -> Result<f64, SimError> {
         let outcome = filter_train_eval(
@@ -276,7 +285,18 @@ pub fn estimate_curves_prepared(
         }
     })?;
     let (baseline, rest) = accuracies.split_first().expect("baseline cell");
-    let (attacked, clean) = rest.split_at(placements.len());
+    let (attacked, run_clean) = rest.split_at(placements.len());
+    let mut run_clean = run_clean.iter();
+    let clean: Vec<f64> = strengths
+        .iter()
+        .map(|&s| {
+            if reuses_baseline(s) {
+                *baseline
+            } else {
+                *run_clean.next().expect("one clean cell per other strength")
+            }
+        })
+        .collect();
 
     // E(p): unfiltered damage per poison point at each placement.
     let effect_samples: Vec<(f64, f64)> = placements
@@ -287,7 +307,7 @@ pub fn estimate_curves_prepared(
     // Γ(p): clean accuracy loss at each strength.
     let cost_samples: Vec<(f64, f64)> = strengths
         .iter()
-        .zip(clean)
+        .zip(&clean)
         .map(|(&s, c)| (s, (baseline - c).max(0.0)))
         .collect();
 

@@ -153,48 +153,85 @@ pub fn run_fig1_prepared(
     policy: &ExecPolicy,
 ) -> Result<Fig1Results, SimError> {
     validate_strengths(&sweep.strengths)?;
-    let baseline = filter_train_eval(
-        prepared.train(),
-        &[],
-        prepared.test(),
-        FilterStrength::RemoveFraction(0.0),
-        config,
-    )?;
+    // One flat batch: the unfiltered clean baseline first, then each
+    // row's attacked and clean cells in sweep order — the order a
+    // sequential run meets their errors in. The baseline *is* the clean
+    // cell at θ = +0.0, so that row reuses it instead of fitting again.
+    let reuses_baseline = |theta: f64| theta.to_bits() == 0.0f64.to_bits();
+    let cells: Vec<Fig1Cell> = std::iter::once(Fig1Cell::Clean(0.0))
+        .chain(sweep.strengths.iter().flat_map(|&theta| {
+            [
+                Some(Fig1Cell::Attacked(theta)),
+                (!reuses_baseline(theta)).then_some(Fig1Cell::Clean(theta)),
+            ]
+            .into_iter()
+            .flatten()
+        }))
+        .collect();
+    // Each cell yields (accuracy, poison recall); clean cells recall 0.
+    let outcomes = try_parallel_map(policy, &cells, |_, &cell| -> Result<(f64, f64), SimError> {
+        match cell {
+            Fig1Cell::Clean(theta) => {
+                let clean = filter_train_eval(
+                    prepared.train(),
+                    &[],
+                    prepared.test(),
+                    FilterStrength::RemoveFraction(theta),
+                    config,
+                )?;
+                Ok((clean.accuracy, 0.0))
+            }
+            Fig1Cell::Attacked(theta) => {
+                let mut rng = point_rng(config, theta);
+                let placement = hugging_placement(prepared, theta, sweep.placement_slack);
+                let attacked = attack_filter_train_eval(
+                    prepared,
+                    placement,
+                    FilterStrength::RemoveFraction(theta),
+                    config,
+                    &mut rng,
+                )?;
+                Ok((attacked.accuracy, attacked.accounting.poison_recall()))
+            }
+        }
+    })?;
 
-    let rows = try_parallel_map(
-        policy,
-        &sweep.strengths,
-        |_, &theta| -> Result<Fig1Row, SimError> {
-            let mut rng = point_rng(config, theta);
-            let placement = hugging_placement(prepared, theta, sweep.placement_slack);
-            let attacked = attack_filter_train_eval(
-                prepared,
-                placement,
-                FilterStrength::RemoveFraction(theta),
-                config,
-                &mut rng,
-            )?;
-            let clean = filter_train_eval(
-                prepared.train(),
-                &[],
-                prepared.test(),
-                FilterStrength::RemoveFraction(theta),
-                config,
-            )?;
-            Ok(Fig1Row {
+    let ((baseline_accuracy, _), rest) = outcomes.split_first().expect("baseline cell");
+    let mut rest = rest.iter();
+    let mut next = || *rest.next().expect("one outcome per cell");
+    let rows = sweep
+        .strengths
+        .iter()
+        .map(|&theta| {
+            let (accuracy_under_attack, poison_recall) = next();
+            let accuracy_clean = if reuses_baseline(theta) {
+                *baseline_accuracy
+            } else {
+                next().0
+            };
+            Fig1Row {
                 removed_fraction: theta,
-                accuracy_under_attack: attacked.accuracy,
-                accuracy_clean: clean.accuracy,
-                poison_recall: attacked.accounting.poison_recall(),
-            })
-        },
-    )?;
+                accuracy_under_attack,
+                accuracy_clean,
+                poison_recall,
+            }
+        })
+        .collect();
 
     Ok(Fig1Results {
         rows,
-        baseline_accuracy: baseline.accuracy,
+        baseline_accuracy: *baseline_accuracy,
         n_poison: prepared.n_poison,
     })
+}
+
+/// One independent experiment of [`run_fig1_prepared`]'s batch.
+#[derive(Clone, Copy)]
+enum Fig1Cell {
+    /// Clean data filtered at this strength.
+    Clean(f64),
+    /// The optimal pure attack hugging a filter of this strength.
+    Attacked(f64),
 }
 
 /// The warm-started Figure 1 sweep: cells run *sequentially* in sweep

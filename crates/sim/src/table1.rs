@@ -10,7 +10,7 @@
 use crate::error::SimError;
 use crate::estimate::CurveEstimate;
 use crate::exec::{try_parallel_map, ExecPolicy};
-use crate::pipeline::{prepare, run_cell_warm, ExperimentConfig, Prepared};
+use crate::pipeline::{prepare, run_cell, run_cell_warm, ExperimentConfig, Prepared};
 use poisongame_core::{Algorithm1, DefenderMixedStrategy};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
@@ -134,9 +134,7 @@ pub fn evaluate_mixed_defense_opts(
                 if q == 0.0 {
                     continue;
                 }
-                let mut rng = Xoshiro256StarStar::seed_from_u64(
-                    config.seed ^ candidate.to_bits() ^ theta.to_bits().rotate_left(13),
-                );
+                let mut rng = cell_rng(config, candidate, theta);
                 let (out, state) = run_cell_warm(
                     prepared,
                     &config.scenario,
@@ -155,13 +153,28 @@ pub fn evaluate_mixed_defense_opts(
         },
     )?;
 
+    Ok(worst_candidate(strategy, &expected_per_candidate))
+}
+
+/// The attacker's best response: the support position with the lowest
+/// expected defender accuracy (first one on ties), as
+/// `(expected accuracy, placement)`.
+fn worst_candidate(strategy: &DefenderMixedStrategy, expected_per_candidate: &[f64]) -> (f64, f64) {
     let mut worst = (f64::INFINITY, 0.0);
-    for (&candidate, &expected) in strategy.support().iter().zip(&expected_per_candidate) {
+    for (&candidate, &expected) in strategy.support().iter().zip(expected_per_candidate) {
         if expected < worst.0 {
             worst = (expected, candidate);
         }
     }
-    Ok(worst)
+    worst
+}
+
+/// The attack RNG of one (candidate placement, filter strength) cell
+/// of the empirical evaluation.
+fn cell_rng(config: &ExperimentConfig, candidate: f64, theta: f64) -> Xoshiro256StarStar {
+    Xoshiro256StarStar::seed_from_u64(
+        config.seed ^ candidate.to_bits() ^ theta.to_bits().rotate_left(13),
+    )
 }
 
 /// Run the full Table 1 experiment.
@@ -253,38 +266,129 @@ pub fn run_table1_prepared(
         });
     }
     let game = curves.game()?;
-    let rows = try_parallel_map(
-        policy,
-        support_sizes,
-        |_, &n| -> Result<Table1Row, SimError> {
-            // The experiment's solver / warm-start knobs take effect
-            // here (see `ExperimentConfig::algorithm1_config`).
-            let solver = Algorithm1::new(config.algorithm1_config(n));
-            let result = solver.solve(&game)?;
-            let predicted = (curves.baseline_accuracy - result.defender_loss).clamp(0.0, 1.0);
-            let (empirical, placement) = evaluate_mixed_defense_opts(
-                prepared,
-                config,
-                &result.strategy,
-                0.01,
-                &ExecPolicy::sequential(),
-                warm_sweep,
-            )?;
-            Ok(Table1Row {
-                n_radii: n,
-                support: result.strategy.support().to_vec(),
-                probabilities: result.strategy.probabilities().to_vec(),
-                predicted_accuracy: predicted,
-                empirical_accuracy: empirical,
-                attacker_placement: placement,
-            })
-        },
-    )?;
+    let solve = |n: usize| -> Result<(DefenderMixedStrategy, f64), SimError> {
+        // The experiment's solver / warm-start knobs take effect here
+        // (see `ExperimentConfig::algorithm1_config`).
+        let result = Algorithm1::new(config.algorithm1_config(n)).solve(&game)?;
+        let predicted = (curves.baseline_accuracy - result.defender_loss).clamp(0.0, 1.0);
+        Ok((result.strategy, predicted))
+    };
+    let row =
+        |n: usize, strategy: DefenderMixedStrategy, predicted: f64, worst: (f64, f64)| Table1Row {
+            n_radii: n,
+            support: strategy.support().to_vec(),
+            probabilities: strategy.probabilities().to_vec(),
+            predicted_accuracy: predicted,
+            empirical_accuracy: worst.0,
+            attacker_placement: worst.1,
+        };
+    let rows = if warm_sweep {
+        // Each row's warm chain runs its strengths in order, so rows
+        // are the unit of parallelism.
+        try_parallel_map(
+            policy,
+            support_sizes,
+            |_, &n| -> Result<Table1Row, SimError> {
+                let (strategy, predicted) = solve(n)?;
+                let worst = evaluate_mixed_defense_opts(
+                    prepared,
+                    config,
+                    &strategy,
+                    0.01,
+                    &ExecPolicy::sequential(),
+                    true,
+                )?;
+                Ok(row(n, strategy, predicted, worst))
+            },
+        )?
+    } else {
+        run_table1_cells(prepared, config, support_sizes, policy, solve, row)?
+    };
     Ok(Table1Results {
         rows,
         best_pure_accuracy,
         baseline_accuracy: curves.baseline_accuracy,
     })
+}
+
+/// The cold Table 1: Algorithm 1 for every row, then every row's
+/// (candidate placement, filter strength) cell in one flat batch, so
+/// the pool stays busy across rows instead of running each row's
+/// cells in sequence. Each candidate's expected accuracy is summed in
+/// strength order afterwards, exactly as the sequential evaluation
+/// adds it, so the results are bit-identical to it.
+///
+/// Errors surface in the order a sequential run meets them: row by
+/// row, its solve before its cells.
+fn run_table1_cells(
+    prepared: &Prepared,
+    config: &ExperimentConfig,
+    support_sizes: &[usize],
+    policy: &ExecPolicy,
+    solve: impl Fn(usize) -> Result<(DefenderMixedStrategy, f64), SimError> + Sync,
+    row: impl Fn(usize, DefenderMixedStrategy, f64, (f64, f64)) -> Table1Row,
+) -> Result<Vec<Table1Row>, SimError> {
+    let mut solved = try_parallel_map(policy, support_sizes, |_, &n| Ok::<_, SimError>(solve(n)))?;
+    // Rows after the first failed solve never reach their cells.
+    let live = solved.iter().take_while(|s| s.is_ok()).count();
+    // Row-major (row, candidate, strength) order; zero-probability
+    // strengths contribute nothing and are skipped, as in
+    // `evaluate_mixed_defense_opts`.
+    let weighted = |strategy: &DefenderMixedStrategy| -> Vec<(f64, f64)> {
+        strategy
+            .support()
+            .iter()
+            .zip(strategy.probabilities())
+            .filter(|(_, &q)| q != 0.0)
+            .map(|(&theta, &q)| (theta, q))
+            .collect()
+    };
+    let mut cells: Vec<(f64, f64)> = Vec::new();
+    for solved in &solved[..live] {
+        let strategy = &solved.as_ref().expect("live rows solved").0;
+        let weighted = weighted(strategy);
+        for &candidate in strategy.support() {
+            cells.extend(weighted.iter().map(|&(theta, _)| (candidate, theta)));
+        }
+    }
+    let accuracies = try_parallel_map(policy, &cells, |_, &(candidate, theta)| {
+        let placement = crate::pipeline::hugging_placement(prepared, candidate, 0.01);
+        let mut rng = cell_rng(config, candidate, theta);
+        run_cell(
+            prepared,
+            &config.scenario,
+            placement,
+            FilterStrength::RemoveFraction(theta),
+            config,
+            &mut rng,
+        )
+        .map(|out| out.accuracy)
+    })?;
+    if live < solved.len() {
+        return Err(solved.swap_remove(live).expect_err("first failed solve"));
+    }
+    let mut accuracies = accuracies.into_iter();
+    Ok(support_sizes
+        .iter()
+        .zip(solved)
+        .map(|(&n, solved)| {
+            let (strategy, predicted) = solved.expect("every row solved");
+            let weighted = weighted(&strategy);
+            let expected: Vec<f64> = strategy
+                .support()
+                .iter()
+                .map(|_| {
+                    let mut expected = 0.0;
+                    for &(_, q) in &weighted {
+                        expected += q * accuracies.next().expect("one accuracy per cell");
+                    }
+                    expected
+                })
+                .collect();
+            let worst = worst_candidate(&strategy, &expected);
+            row(n, strategy, predicted, worst)
+        })
+        .collect())
 }
 
 #[cfg(test)]

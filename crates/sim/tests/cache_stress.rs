@@ -141,3 +141,61 @@ fn distinct_paths_make_distinct_keys() {
         }
     }
 }
+
+/// Unpinned file sources are keyed by the file's (len, mtime): a
+/// rewrite in place — same path, same byte length, new mtime — misses
+/// the cache and prepares the new rows, and a file that appears after
+/// its absent-path fallback was cached is prepared from disk.
+#[test]
+fn rewritten_or_created_unpinned_file_is_prepared_afresh() {
+    use poisongame_sim::pipeline::prepare_data;
+    use std::time::{Duration, SystemTime};
+
+    let path = temp_dir().join("rewrite.csv");
+    let _ = std::fs::remove_file(&path);
+    let config = small_file_config(&path.display().to_string(), None);
+    let digest_now = || {
+        prepare_data(&config.source, config.seed, config.test_fraction)
+            .unwrap()
+            .content_digest()
+    };
+    let engine = EvalEngine::new();
+
+    // Absent: the synthetic fallback is cached under the absent marker.
+    let fallback = engine.prepare(&config).unwrap();
+    assert_eq!(fallback.data.content_digest(), digest_now());
+
+    // The file appears: a new key, prepared from its rows.
+    let original = std::fs::read_to_string(write_file("rewrite.csv")).unwrap();
+    let stamped = |text: &str, at: SystemTime| {
+        std::fs::write(&path, text).unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(at)
+            .unwrap();
+    };
+    let t0 = SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
+    stamped(&original, t0);
+    let first = engine.prepare(&config).unwrap();
+    assert_eq!(engine.cache_stats().misses, 2);
+    assert_ne!(first.data.content_digest(), fallback.data.content_digest());
+    assert_eq!(first.data.content_digest(), digest_now());
+    // Unchanged file: a hit on the same preparation.
+    let again = engine.prepare(&config).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&first.data, &again.data));
+    assert_eq!(engine.cache_stats().hits, 1);
+
+    // Rewrite in place with the same byte length and a new mtime: only
+    // the mtime tells the key the rows changed.
+    let rewritten = original.replacen('0', "1", 1);
+    assert_eq!(rewritten.len(), original.len());
+    assert_ne!(rewritten, original);
+    stamped(&rewritten, t0 + Duration::from_secs(10));
+    let second = engine.prepare(&config).unwrap();
+    assert_eq!(engine.cache_stats().misses, 3);
+    assert_eq!(second.data.content_digest(), digest_now());
+    assert_ne!(second.data.content_digest(), first.data.content_digest());
+    let _ = std::fs::remove_file(&path);
+}

@@ -284,3 +284,57 @@ fn estimate_reports_the_first_bad_grid_value() {
         );
     }
 }
+
+/// FNV-1a digest of a Figure 1 sweep and a Table 1 run, every float by
+/// exact bit pattern.
+fn fig1_table1_digest(
+    fig1: &poisongame_sim::fig1::Fig1Results,
+    table1: &poisongame_sim::table1::Table1Results,
+) -> u64 {
+    let mut h = ContentHash::new()
+        .u64(fig1.n_poison as u64)
+        .f64(fig1.baseline_accuracy);
+    for row in &fig1.rows {
+        h = h
+            .f64(row.removed_fraction)
+            .f64(row.accuracy_under_attack)
+            .f64(row.accuracy_clean)
+            .f64(row.poison_recall);
+    }
+    h = h
+        .f64(table1.best_pure_accuracy)
+        .f64(table1.baseline_accuracy);
+    for row in &table1.rows {
+        h = h.u64(row.n_radii as u64);
+        for &x in row.support.iter().chain(&row.probabilities) {
+            h = h.f64(x);
+        }
+        h = h
+            .f64(row.predicted_accuracy)
+            .f64(row.empirical_accuracy)
+            .f64(row.attacker_placement);
+    }
+    h.finish()
+}
+
+/// Figure 1 (whose θ = 0 clean cell is the baseline) and the cold
+/// Table 1 (whose cells run as one flat batch) keep the bits they had
+/// when each ran its cells row by row; the constant was computed
+/// before either changed.
+#[test]
+fn fig1_and_table1_bits_are_pinned() {
+    let config = tiny_config();
+    let curves = estimate_curves(&config, &[0.02, 0.1, 0.25], &[0.0, 0.05, 0.15, 0.3])
+        .expect("curves estimate");
+    for &threads in &[1, 8] {
+        let policy = ExecPolicy::with_threads(threads);
+        let fig1 = run_fig1_with(&config, &Fig1Config::default(), &policy).expect("fig1 runs");
+        let table1 =
+            run_table1_with(&config, &curves, &[2, 3, 4], 0.8, &policy).expect("table1 runs");
+        let digest = fig1_table1_digest(&fig1, &table1);
+        assert_eq!(
+            digest, 0xebe9_0f74_4ad3_2914,
+            "fig1/table1 diverged at {threads} threads"
+        );
+    }
+}

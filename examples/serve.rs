@@ -15,8 +15,8 @@
 //! * `--shards N` — engine shard count (independent prep caches and
 //!   admission queues, prep-key-affine routing; resizable at runtime
 //!   via the `resize` request).
-//! * `--workers N` — per-shard evaluation worker count (`0` =
-//!   hardware threads).
+//! * `--workers N` — executor threads shared by all shards: requests
+//!   evaluated at once (`0` = hardware threads).
 //! * `--queue N` — per-shard admission queue bound (beyond it
 //!   requests are shed with a structured `busy` error).
 //! * `--cache N` — per-shard preparation-cache bound (`0` = cache
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = server.local_addr()?;
     println!("poisongame-serve listening on {addr}");
     println!(
-        "  shards: {} | workers/shard: {} | queue bound/shard: {queue} | prep-cache bound/shard: {}",
+        "  shards: {} | executors: {} | queue bound/shard: {queue} | prep-cache bound/shard: {}",
         shards.max(1),
         if workers == 0 {
             "auto".to_string()
