@@ -13,9 +13,9 @@
 //!   can pipeline.
 //! * [`server`] — the sharded server: a pool of N independent
 //!   [`poisongame_sim::EvalEngine`] shards (each with its own
-//!   *bounded* preparation cache and bounded admission queue with
-//!   explicit load shedding — a structured `busy` error, never a
-//!   hang), requests routed by prep-key affinity so cache locality
+//!   *bounded* preparation cache and bounded count of waiting
+//!   requests with explicit load shedding — a structured `busy`
+//!   error, never a hang), requests routed by prep-key affinity so cache locality
 //!   survives sharding, a fixed set of executor threads shared by all
 //!   shards that run each generation of admitted requests cheapest
 //!   first, single-flight preparation so concurrent requests sharing a
@@ -76,5 +76,5 @@ pub use protocol::{
     CellRequest, ErrorCode, EstimateRequest, MatrixRequest, OnlineRequest, Request, RequestKind,
     Response, ServerStats, ShardStats, SolveRequest, SolveResult, MAX_SHARDS,
 };
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, MAX_WORKERS};
 pub use telemetry::{KindTelemetry, TelemetryStats};

@@ -13,16 +13,16 @@
 //!   prep-key affinity (`content hash % N` — same preparation, same
 //!   shard, so cache locality survives sharding) with a least-loaded
 //!   fallback for requests carrying no preparation key (`solve`).
-//! * **Admission** — each shard's queue is bounded. A full queue sheds
+//! * **Admission** — each shard bounds its waiting jobs. A full shard sheds
 //!   the request with a structured `busy` error immediately; the
 //!   server never buffers unboundedly and never blocks the
 //!   multiplexer on evaluation. Every admitted job carries a
 //!   deterministic work estimate computed from its request document
 //!   ([`work_estimate`]).
 //! * **Executors** — `workers` threads shared by every shard run the
-//!   jobs, one job at a time each, to completion. They take jobs from
-//!   one run list, which is refilled a generation at a time from every
-//!   shard queue and ordered cheapest first (ties in admission order),
+//!   jobs, one job at a time each, to completion. Every shard admits
+//!   to one pending list, which the executors seal a generation at a
+//!   time and order cheapest first (ties in admission order),
 //!   so a cheap `solve` is never stuck behind expensive cells that
 //!   were admitted with it. Parallelism *inside* one request
 //!   (`eval_threads`, pooled `gemm_nt` bands, the helper of a big
@@ -50,7 +50,7 @@ use crate::protocol::{
     parse_request_line, ErrorCode, Request, RequestKind, Response, ServerStats, ShardStats,
     SolveRequest, SolveResult, DEFAULT_MAX_LINE_BYTES,
 };
-use crate::shard::{Admission, Shard, ShardPool};
+use crate::shard::{Shard, ShardPool};
 use crate::telemetry::{self, Telemetry};
 use poisongame_core::bridge::solve_discretized_with;
 use poisongame_core::{CostCurve, EffectCurve, PoisonGame, SolverKind, AUTO_EXACT_LIMIT};
@@ -61,7 +61,7 @@ use poisongame_sim::engine::{config_prep_key, PrepKey};
 use poisongame_sim::estimate::estimate_curves_prepared;
 use poisongame_sim::jsonio::Json;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig, Prepared, PreparedData};
-use poisongame_sim::scenario::run_matrix_prepared;
+use poisongame_sim::scenario::{run_matrix_prepared, DefenseSpec};
 use poisongame_sim::{ExecPolicy, SimError};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -69,6 +69,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Cap on the executor count ([`ServerConfig::workers`]); larger
+/// values are clamped to it.
+pub const MAX_WORKERS: usize = 256;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -85,7 +89,8 @@ pub struct ServerConfig {
     /// completion, taking the cheapest waiting request of the current
     /// generation (see [`crate::shard`]), so this is the number of
     /// requests evaluated at once. Parallelism inside one request is
-    /// set by `eval_threads`, not here.
+    /// set by `eval_threads`, not here. Each executor is an OS thread,
+    /// so the count is capped at [`MAX_WORKERS`].
     pub workers: usize,
     /// Per-shard admission queue bound: admitted requests that have
     /// not started count against it, and requests beyond it are shed
@@ -204,10 +209,9 @@ impl Inner {
 
     /// Route a job to its shard and admit it, or answer it with a
     /// structured rejection. Admission runs only on the multiplexer
-    /// thread — the same thread that flips the shutdown flag and
-    /// swaps the shard set — so an admitted job is always run by an
-    /// executor, never stranded.
-    fn admit(&self, mut job: Job) {
+    /// thread — the same thread that flips the shutdown flag — so an
+    /// admitted job is always run by an executor, never stranded.
+    fn admit(&self, job: Job) {
         if self.shutdown.load(Ordering::SeqCst) {
             let response = Response::err(
                 Some(job.request.id),
@@ -217,51 +221,38 @@ impl Inner {
             job.conn.send(&response);
             return;
         }
-        loop {
-            let shards = self.pool.current();
-            let shard = match &job.prep_key {
-                // Prep-key affinity: same preparation key, same shard,
-                // so PrepCache locality survives sharding.
-                Some(key) => {
-                    let index = (key.content_hash() % shards.len() as u64) as usize;
-                    Arc::clone(&shards[index])
-                }
-                // No preparation to keep local (`solve`): fall back to
-                // the least-loaded shard, ties to the lowest index.
-                None => shards
-                    .iter()
-                    .min_by_key(|shard| (shard.queue_depth(), shard.index))
-                    .map(Arc::clone)
-                    .expect("shard pool is never empty"),
-            };
-            match shard.admit(job) {
-                Admission::Queued => {
-                    self.pool.job_queued();
-                    return;
-                }
-                Admission::Full(job) => {
-                    Counters::bump(&self.counters.shed);
-                    self.telemetry.note_shed(
-                        job.request.kind.type_name(),
-                        shard.index,
-                        shard.queue_capacity,
-                    );
-                    let response = Response::err(
-                        Some(job.request.id),
-                        ErrorCode::Busy,
-                        format!(
-                            "shard {} admission queue full (bound {}); retry later",
-                            shard.index, shard.queue_capacity
-                        ),
-                    );
-                    job.conn.send(&response);
-                    return;
-                }
-                // A concurrent resize retired the shard between the
-                // snapshot and the admit; re-route against the fresh
-                // pool.
-                Admission::Retired(returned) => job = returned,
+        let shards = self.pool.current();
+        let shard = match &job.prep_key {
+            // Prep-key affinity: same preparation key, same shard, so
+            // PrepCache locality survives sharding.
+            Some(key) => {
+                let index = (key.content_hash() % shards.len() as u64) as usize;
+                Arc::clone(&shards[index])
             }
+            // No preparation to keep local (`solve`): fall back to the
+            // least-loaded shard, ties to the lowest index.
+            None => shards
+                .iter()
+                .min_by_key(|shard| (shard.queue_depth(), shard.index))
+                .map(Arc::clone)
+                .expect("shard pool is never empty"),
+        };
+        if let Some(job) = self.pool.admit(Arc::clone(&shard), job) {
+            Counters::bump(&self.counters.shed);
+            self.telemetry.note_shed(
+                job.request.kind.type_name(),
+                shard.index,
+                shard.queue_capacity,
+            );
+            let response = Response::err(
+                Some(job.request.id),
+                ErrorCode::Busy,
+                format!(
+                    "shard {} admission queue full (bound {}); retry later",
+                    shard.index, shard.queue_capacity
+                ),
+            );
+            job.conn.send(&response);
         }
     }
 
@@ -352,7 +343,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let eval_policy = ExecPolicy::with_threads(config.eval_threads);
-        let workers = ExecPolicy::with_threads(config.workers).effective_threads(usize::MAX);
+        let workers = ExecPolicy::with_threads(config.workers).effective_threads(MAX_WORKERS);
         let pool = ShardPool::new(
             config.shards.max(1),
             config.queue_capacity,
@@ -571,12 +562,19 @@ fn prep_key_of(request: &Request) -> Option<PrepKey> {
 ///   both `blobs` classes, `csv_text` lines, and the Spambase size for
 ///   a `file`, whose length the document does not carry) less the
 ///   test fraction; the features are the Spambase width, or `dim` for
-///   `blobs`.
+///   `blobs`. The learner does not enter: at a fixed epoch count the
+///   three learners cost about the same.
 /// * A `cell` counts 2 fits (the fit, plus the attack, filter and
 ///   held-out evaluation around it); a `matrix` 1 + one per cell; an
 ///   `estimate` 1 + one per placement + one per strength other than
 ///   `+0.0` (which reuses the baseline); an `online` game 1 + one per
 ///   payoff cell, plus `rounds × cells` learner updates.
+/// * Every cell filtered by the k-NN defense adds `training rows² ×
+///   features / 4`: it compares each pair of training points within a
+///   class (about rows²/2 pairs), and a distance multiply-add costs
+///   about half of a fit's. The radius and slab filters are linear and
+///   ride in the fits. `estimate` and `online` cells use the config's
+///   scenario; `cell` and `matrix` their own.
 /// * A `solve` at resolution `r` plays an `m × n = (r+2) × (r+1)`
 ///   game and costs what its solver touches: `(m + n) × m·n` for the
 ///   LP (about `m + n` pivots over the tableau) and `20,000 rounds ×
@@ -584,11 +582,15 @@ fn prep_key_of(request: &Request) -> Option<PrepKey> {
 ///   play. `auto` takes the LP up to [`AUTO_EXACT_LIMIT`] actions a
 ///   side.
 ///
-/// So a resolution-40 solve (~1.5e5) ranks below a 300-row, 20-epoch
-/// cell (~4.8e5), which ranks below an estimate of the same config over
-/// two placements and two strengths (~9.6e5).
+/// On a 300-row, 20-epoch config this gives a resolution-40 solve
+/// ~1.5e5, a paper cell ~4.8e5, an estimate over two placements and
+/// strengths `[0, 0.2]` ~9.6e5 and a k-NN cell ~1.1e6. Served alone on
+/// one executor (2-core host, medians of 40) those took 0.8, 2.7, 4.8
+/// and 5.4 ms; at 600 rows the cell, estimate and k-NN cell took 3.8,
+/// 7.9 and 13.2 ms against estimates of 9.6e5, 1.9e6 and 3.5e6.
 pub(crate) fn work_estimate(kind: &RequestKind) -> u64 {
-    let fits = |config: &ExperimentConfig, count: usize| -> f64 {
+    // (training rows, features) of a config's preparation.
+    let shape = |config: &ExperimentConfig| -> (f64, f64) {
         let (rows, features) = match &config.source {
             DataSource::SyntheticSpambase { rows } => (*rows, SPAMBASE_DIM),
             DataSource::Blobs { per_class, dim, .. } => (per_class.saturating_mul(2), *dim),
@@ -596,7 +598,21 @@ pub(crate) fn work_estimate(kind: &RequestKind) -> u64 {
             DataSource::File { .. } => (SPAMBASE_ROWS, SPAMBASE_DIM),
         };
         let train = (rows as f64 * (1.0 - config.test_fraction)).max(1.0);
-        count as f64 * train * config.epochs.max(1) as f64 * features.max(1) as f64
+        (train, features.max(1) as f64)
+    };
+    let fits = |config: &ExperimentConfig, count: usize| -> f64 {
+        let (train, features) = shape(config);
+        count as f64 * train * config.epochs.max(1) as f64 * features
+    };
+    // What one cell's filter adds to its fits.
+    let filter = |config: &ExperimentConfig, defense: &DefenseSpec| -> f64 {
+        match defense {
+            DefenseSpec::Knn { .. } => {
+                let (train, features) = shape(config);
+                train * train * features / 4.0
+            }
+            DefenseSpec::Radius | DefenseSpec::Slab => 0.0,
+        }
     };
     let cost = match kind {
         RequestKind::Solve(req) => {
@@ -612,19 +628,32 @@ pub(crate) fn work_estimate(kind: &RequestKind) -> u64 {
                 20_000.0 * 2.0 * m * n
             }
         }
-        RequestKind::Cell(req) => fits(&req.config, 2),
-        RequestKind::Matrix(req) => fits(&req.config, 1 + req.matrix.len()),
+        RequestKind::Cell(req) => fits(&req.config, 2) + filter(&req.config, &req.scenario.defense),
+        RequestKind::Matrix(req) => {
+            let per_defense = (req.matrix.attacks.len() * req.matrix.learners.len()) as f64;
+            let filters: f64 = req
+                .matrix
+                .defenses
+                .iter()
+                .map(|defense| filter(&req.config, defense))
+                .sum();
+            fits(&req.config, 1 + req.matrix.len()) + per_defense * filters
+        }
         RequestKind::Estimate(req) => {
             let clean = req
                 .strengths
                 .iter()
                 .filter(|s| s.to_bits() != 0.0f64.to_bits())
                 .count();
-            fits(&req.config, 1 + req.placements.len() + clean)
+            let cells = 1 + req.placements.len() + clean;
+            fits(&req.config, cells)
+                + cells as f64 * filter(&req.config, &req.config.scenario.defense)
         }
         RequestKind::Online(req) => {
             let cells = req.spec.n_cells();
-            fits(&req.config, 1 + cells) + req.spec.rounds as f64 * cells as f64
+            fits(&req.config, 1 + cells)
+                + cells as f64 * filter(&req.config, &req.config.scenario.defense)
+                + req.spec.rounds as f64 * cells as f64
         }
         RequestKind::Stats
         | RequestKind::Metrics
@@ -765,7 +794,8 @@ fn run_solve(req: &SolveRequest) -> Result<Json, SimError> {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::protocol::{CellRequest, EstimateRequest};
+    use crate::protocol::{CellRequest, EstimateRequest, MatrixRequest};
+    use poisongame_sim::scenario::{LearnerSpec, Scenario, ScenarioMatrix};
 
     fn config(rows: usize) -> ExperimentConfig {
         ExperimentConfig {
@@ -816,6 +846,61 @@ mod tests {
         );
         assert!(work_estimate(&solve(150, SolverKind::Simplex)) < mw);
         assert_eq!(lp, work_estimate(&solve(40, SolverKind::Auto)));
+    }
+
+    #[test]
+    fn work_estimate_charges_knn_filtering() {
+        let cell = |rows: usize, defense: DefenseSpec, learner: LearnerSpec| {
+            work_estimate(&RequestKind::Cell(CellRequest {
+                config: config(rows),
+                scenario: Scenario::builder()
+                    .defense(defense)
+                    .learner(learner)
+                    .build(),
+                ..CellRequest::default()
+            }))
+        };
+        let estimate = |rows: usize| {
+            work_estimate(&RequestKind::Estimate(EstimateRequest {
+                config: config(rows),
+                placements: vec![0.05, 0.2],
+                strengths: vec![0.0, 0.2],
+            }))
+        };
+        let knn = DefenseSpec::Knn { k: 5 };
+        // The order measured alone: paper cell < estimate < k-NN cell.
+        let paper = cell(300, DefenseSpec::Radius, LearnerSpec::Svm);
+        assert!(paper < estimate(300));
+        assert!(estimate(300) < cell(300, knn, LearnerSpec::LogReg));
+        assert_eq!(paper, cell(300, DefenseSpec::Slab, LearnerSpec::LogReg));
+        // The k-NN term is quadratic in the rows, the fits linear.
+        assert!(
+            cell(1200, knn, LearnerSpec::Svm)
+                > 4 * cell(1200, DefenseSpec::Radius, LearnerSpec::Svm)
+        );
+        // A matrix charges each k-NN cell once.
+        let matrix = work_estimate(&RequestKind::Matrix(MatrixRequest {
+            config: config(300),
+            matrix: ScenarioMatrix {
+                defenses: vec![DefenseSpec::Radius, knn],
+                ..ScenarioMatrix::default()
+            },
+        }));
+        // (1 + 2 cells) fits + one k-NN filter: one fit more than the
+        // k-NN cell alone.
+        let knn_cell = cell(300, knn, LearnerSpec::Svm);
+        assert!(knn_cell < matrix && matrix < knn_cell + paper);
+    }
+
+    #[test]
+    fn executor_count_is_capped() {
+        // `bind` starts no thread, so the oversized request is safe.
+        let server = Server::bind(ServerConfig {
+            workers: 100_000,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        assert_eq!(server.inner.workers, MAX_WORKERS);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One [`EvalEngine`] behind one bounded queue serializes every
 //! preparation-cache lookup and admission decision. The pool splits
 //! the engine into N independent shards — each with its own bounded
-//! prep cache and bounded admission queue — and routes requests by
+//! prep cache and bound on waiting jobs — and routes requests by
 //! **prep-key affinity**:
 //!
 //! * A request with a preparation key (everything except `solve`) is
@@ -18,31 +18,30 @@
 //!
 //! **Executors.** Jobs are run by a fixed set of executor threads
 //! shared by every shard (`ServerConfig::workers` of them), not by a
-//! thread per shard. They share one *run list*. An executor takes the
-//! next job from it; when it is empty, the executor seals a new
-//! **generation**: it drains every shard queue into the run list,
-//! ordered by the jobs' work estimates, cheapest first, ties in
-//! admission order. So a cheap `solve` admitted behind expensive cells
-//! starts before them, and because a generation is sealed only once
-//! the previous one has been handed out, a job of a later generation
-//! never starts before one of an earlier generation — nothing starves.
-//! Each job runs to completion on its executor against its own
-//! shard's engine; with one executor per core, jobs never time-slice
-//! a core with each other. An executor with nothing to run parks on a
-//! condvar that admission notifies; an idle server wakes no thread.
+//! thread per shard, so a shard keeps no queue of its own, only a
+//! count: admission puts every job, with its shard, on one *pending*
+//! list. An executor takes the next job of the current
+//! **generation**; when that is exhausted, it seals the next
+//! generation by taking the whole pending list and ordering it by
+//! the jobs' work estimates, cheapest first, ties in admission
+//! order. So a cheap `solve` admitted behind
+//! expensive cells starts before them, and because a generation is
+//! sealed only once the previous one has been handed out, a job of a
+//! later generation never starts before one of an earlier generation —
+//! nothing starves. Each job runs to completion on its executor
+//! against its own shard's engine; with one executor per core, jobs
+//! never time-slice a core with each other. An executor with nothing
+//! to run parks on a condvar that admission notifies; an idle server
+//! wakes no thread.
 //!
-//! A job waiting in the run list still counts against its shard's
-//! queue bound, so the bound covers every admitted job that has not
-//! started.
+//! Each shard counts its *waiting* jobs — admitted and not started,
+//! pending or sealed — which sets its queue bound, least-loaded
+//! routing and its reported queue depth.
 //!
 //! [`ShardPool::resize`] re-splits the pool without dropping in-flight
-//! requests: new shards (fresh engines, cold caches) are swapped in and
-//! the old shards are retired. A retired shard admits nothing more and
-//! stays visible to the executors until its queue has been sealed, so
-//! every job it admitted is still run. Admission and retirement of a
-//! shard are serialized through its queue lock, so a job is always
-//! either sealed from its shard or re-routed to the new pool — never
-//! stranded.
+//! requests: new shards (fresh engines, cold caches) are swapped in
+//! for admission. A job already admitted carries its old shard with
+//! it, so it still runs, against the engine it was routed to.
 //!
 //! Responses are pure functions of their request documents, so the
 //! shard count, executor count and run order never change a result;
@@ -70,17 +69,14 @@ pub(crate) struct ShardCounters {
 }
 
 /// One engine shard: an independent evaluation engine (own bounded
-/// prep cache) and a bounded admission queue.
+/// prep cache) and a bounded count of waiting jobs.
 pub(crate) struct Shard {
     pub index: usize,
     pub engine: EvalEngine,
-    queue: Mutex<VecDeque<Job>>,
     pub queue_capacity: usize,
-    /// Jobs sealed into the run list that no executor has taken yet.
-    sealed: AtomicUsize,
-    /// Set (under the queue lock) when a resize replaces this shard:
-    /// admission re-routes to the new pool from then on.
-    retired: AtomicBool,
+    /// Admitted jobs that have not started (changed under the run
+    /// lock).
+    waiting: AtomicUsize,
     pub counters: ShardCounters,
     /// Registry-backed handles for this shard's label. Resized shards
     /// with the same index reuse the same underlying metrics, so the
@@ -93,76 +89,27 @@ impl Shard {
         Self {
             index,
             engine,
-            queue: Mutex::new(VecDeque::new()),
             queue_capacity,
-            sealed: AtomicUsize::new(0),
-            retired: AtomicBool::new(false),
+            waiting: AtomicUsize::new(0),
             counters: ShardCounters::default(),
             obs: ShardObs::register(index),
         }
     }
 
-    /// Admitted jobs that have not started: still queued, or sealed
-    /// into the run list (used by routing, stats and the queue bound).
+    /// Admitted jobs that have not started (used by routing, stats and
+    /// the queue bound).
     pub fn queue_depth(&self) -> usize {
-        let queue = self.queue.lock().expect("shard queue poisoned");
-        queue.len() + self.sealed.load(Ordering::SeqCst)
+        self.waiting.load(Ordering::SeqCst)
     }
 }
 
-/// Outcome of one admission attempt on a single shard.
-pub(crate) enum Admission {
-    /// Queued; an executor will answer it.
-    Queued,
-    /// The shard's queue is full; the job is handed back for a `busy`
-    /// response.
-    Full(Job),
-    /// The shard was retired by a concurrent resize before the job
-    /// could be queued; the caller must re-route against the current
-    /// pool.
-    Retired(Job),
-}
-
-impl Shard {
-    /// Try to queue a job. Admission and retirement are serialized
-    /// through the queue lock: a job queued here is sealed by an
-    /// executor even if the shard is retired right after.
-    pub fn admit(&self, job: Job) -> Admission {
-        let mut queue = self.queue.lock().expect("shard queue poisoned");
-        if self.retired.load(Ordering::SeqCst) {
-            return Admission::Retired(job);
-        }
-        if queue.len() + self.sealed.load(Ordering::SeqCst) >= self.queue_capacity {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Full(job);
-        }
-        queue.push_back(job);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        Admission::Queued
-    }
-
-    /// Retire this shard under its queue lock: nothing is admitted to
-    /// it afterwards.
-    fn retire(&self) {
-        let _queue = self.queue.lock().expect("shard queue poisoned");
-        self.retired.store(true, Ordering::SeqCst);
-    }
-
-    /// Move every queued job into `into`, counting them as sealed.
-    fn seal_into(self: &Arc<Self>, into: &mut Vec<(Arc<Shard>, Job)>) {
-        let mut queue = self.queue.lock().expect("shard queue poisoned");
-        self.sealed.fetch_add(queue.len(), Ordering::SeqCst);
-        into.extend(queue.drain(..).map(|job| (Arc::clone(self), job)));
-    }
-}
-
-/// The run list: the sealed generation not yet handed out, plus the
-/// retired shards whose queues the next seal must still drain.
+/// Jobs admitted and not started, each with the shard it was routed to.
 #[derive(Default)]
 struct RunList {
-    /// Cheapest first.
-    jobs: VecDeque<(Arc<Shard>, Job)>,
-    retired: Vec<Arc<Shard>>,
+    /// The sealed generation not yet handed out, cheapest first.
+    sealed: VecDeque<(Arc<Shard>, Job)>,
+    /// Admitted since the last seal, in admission order.
+    pending: Vec<(Arc<Shard>, Job)>,
 }
 
 /// The pool: the current shard set behind a read-mostly lock, the run
@@ -170,8 +117,8 @@ struct RunList {
 pub(crate) struct ShardPool {
     shards: RwLock<Arc<Vec<Arc<Shard>>>>,
     run: Mutex<RunList>,
-    /// Executors with nothing to run park here; admission, resize and
-    /// shutdown notify it.
+    /// Executors with nothing to run park here; admission and shutdown
+    /// notify it.
     ready: Condvar,
     executors: Mutex<Vec<JoinHandle<()>>>,
     /// Executors that have not exited yet. The multiplexer waits for
@@ -264,46 +211,48 @@ impl ShardPool {
         }
     }
 
-    /// Wake one parked executor: a job was just queued. Taking the run
-    /// lock orders the notification after any executor's check of the
-    /// queues, so the wakeup cannot be lost.
-    pub fn job_queued(&self) {
-        let _run = self.run.lock().expect("run list poisoned");
+    /// Admit `job` to `shard`, or hand it back (`Some`) when the
+    /// shard's queue bound is reached. Taking the run lock orders the
+    /// push (and the wakeup) after any executor's check of the list, so
+    /// the wakeup cannot be lost.
+    pub fn admit(&self, shard: Arc<Shard>, job: Job) -> Option<Job> {
+        let mut run = self.run.lock().expect("run list poisoned");
+        if shard.waiting.load(Ordering::SeqCst) >= shard.queue_capacity {
+            shard.counters.shed.fetch_add(1, Ordering::Relaxed);
+            return Some(job);
+        }
+        shard.waiting.fetch_add(1, Ordering::SeqCst);
+        shard.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        run.pending.push((shard, job));
         self.ready.notify_one();
+        None
     }
 
-    /// Wake every executor (the shutdown flag flipped, or a resize
-    /// retired shards).
+    /// Wake every executor (the shutdown flag flipped).
     pub fn wake_all(&self) {
         let _run = self.run.lock().expect("run list poisoned");
         self.ready.notify_all();
     }
 
-    /// The next job to run: the head of the run list, sealing a new
-    /// generation from every shard queue when the list is empty.
+    /// The next job to run: the head of the sealed generation, sealing
+    /// the pending list as the next generation when it is exhausted.
     /// Parks while there is nothing to run; returns `None` once
-    /// `shutdown` is set and every queue is empty.
+    /// `shutdown` is set and nothing is waiting.
     fn next_job(&self, shutdown: &AtomicBool) -> Option<(Arc<Shard>, Job)> {
         let mut run = self.run.lock().expect("run list poisoned");
         loop {
-            if let Some((shard, job)) = run.jobs.pop_front() {
-                shard.sealed.fetch_sub(1, Ordering::SeqCst);
-                if !run.jobs.is_empty() {
-                    // Hand the rest of the generation to a parked peer.
+            if let Some((shard, job)) = run.sealed.pop_front() {
+                shard.waiting.fetch_sub(1, Ordering::SeqCst);
+                if !run.sealed.is_empty() || !run.pending.is_empty() {
+                    // Hand the rest to a parked peer.
                     self.ready.notify_one();
                 }
                 return Some((shard, job));
             }
-            let mut sealed = Vec::new();
-            for shard in self.current().iter().chain(&run.retired) {
-                shard.seal_into(&mut sealed);
-            }
-            // A retired shard admits nothing after its retirement, so
-            // one seal empties it for good.
-            run.retired.clear();
-            if !sealed.is_empty() {
-                sealed.sort_by_key(|(_, job)| (job.cost, job.seq));
-                run.jobs = sealed.into();
+            if !run.pending.is_empty() {
+                let mut generation = std::mem::take(&mut run.pending);
+                generation.sort_by_key(|(_, job)| (job.cost, job.seq));
+                run.sealed = generation.into();
                 continue;
             }
             if shutdown.load(Ordering::SeqCst) {
@@ -314,24 +263,17 @@ impl ShardPool {
         }
     }
 
-    /// Re-split the pool to `n` shards: swap the new generation in and
-    /// retire the old one. The executors still seal every job the
-    /// retired shards admitted, so no in-flight request is dropped;
-    /// their caches are released with them (a resize to the same count
-    /// is therefore a rebalance with fresh caches).
+    /// Re-split the pool to `n` shards: swap a fresh shard set in for
+    /// admission. Jobs the old shards admitted keep their shard and
+    /// still run; the old caches are released with the last of them (a
+    /// resize to the same count is therefore a rebalance with fresh
+    /// caches).
     pub fn resize(&self, n: usize) {
         let fresh = Arc::new(self.build_shards(n));
-        let mut run = self.run.lock().expect("run list poisoned");
         let old = std::mem::replace(
             &mut *self.shards.write().expect("shard set poisoned"),
             fresh,
         );
-        for shard in old.iter() {
-            shard.retire();
-            run.retired.push(Arc::clone(shard));
-        }
-        self.ready.notify_all();
-        drop(run);
         crate::telemetry::note_resize(old.len(), n);
     }
 

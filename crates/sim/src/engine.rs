@@ -58,6 +58,7 @@ use crate::scenario::{run_matrix_prepared_opts, EngineStats, MatrixResults, Scen
 use crate::table1::{run_table1_prepared, Table1Results};
 use poisongame_core::{Algorithm1Config, DefenderMixedStrategy, PoisonGame};
 use poisongame_data::{CacheStats, ContentHash, PrepCache};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,18 +72,25 @@ use std::time::Instant;
 /// bit pattern), so a digest collision costs at most a rebuild —
 /// never a wrong cache hit.
 ///
-/// A file source without a pinned checksum is keyed by what the file
-/// looked like when the key was built as well: its length and
-/// modification time, or a marker that it was absent. A file rewritten
-/// in place (new mtime) or created after its synthetic fallback was
-/// cached therefore gets a new key and a fresh preparation.
+/// A file source without a pinned checksum is cached under what the
+/// file looks like at the cache lookup as well: its length and
+/// modification time, or a marker that it was absent. The engine
+/// stamps the key on every lookup ([`EvalEngine::prepare`],
+/// [`EvalEngine::prepare_shared`], [`EvalEngine::prepare_batch`]), on
+/// the thread that then prepares the file, so building a key reads no
+/// file. A file rewritten in place (new mtime) or created after its
+/// synthetic fallback was cached therefore gets a fresh preparation.
+/// The stamp is read before the file: a rewrite racing that read can
+/// leave its rows under the earlier stamp, but every lookup after the
+/// rewrite sees the new stamp and misses.
 #[derive(Debug, Clone)]
 pub struct PrepKey {
     hash: u64,
     source: DataSource,
     seed: u64,
     test_fraction: f64,
-    /// `Some` for unpinned file sources only.
+    /// `Some` only on a stamped unpinned file source (see
+    /// [`PrepKey::stamped`]).
     file_stamp: Option<FileStamp>,
 }
 
@@ -132,14 +140,6 @@ impl PrepKey {
     /// Build the key (and its content hash) for one preparation.
     pub fn new(source: &DataSource, seed: u64, test_fraction: f64) -> Self {
         let h = ContentHash::new().u64(seed).f64(test_fraction);
-        let file_stamp = match source {
-            DataSource::File {
-                path,
-                checksum: None,
-                ..
-            } => Some(FileStamp::of(path)),
-            _ => None,
-        };
         let hash = match source {
             DataSource::SyntheticSpambase { rows } => h.str("synthetic_spambase").u64(*rows as u64),
             DataSource::Blobs {
@@ -168,9 +168,7 @@ impl PrepKey {
                 let h = h.str("file").str(path).str(format);
                 match checksum {
                     Some(c) => h.u64(1).u64(*c),
-                    None => file_stamp
-                        .expect("unpinned file sources are stamped")
-                        .fold(h.u64(0)),
+                    None => h.u64(0),
                 }
             }
         }
@@ -180,14 +178,35 @@ impl PrepKey {
             source: source.clone(),
             seed,
             test_fraction,
-            file_stamp,
+            file_stamp: None,
         }
     }
 
     /// The precomputed 64-bit content digest (diagnostic — equality is
-    /// decided by the full fields).
+    /// decided by the full fields). It reads no file, so it is the same
+    /// for every state of an unpinned file source.
     pub fn content_hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The key the store caches this preparation under: an unpinned
+    /// file source gets the file's current [`FileStamp`]; every other
+    /// source is returned as is.
+    fn stamped(&self) -> Cow<'_, PrepKey> {
+        let DataSource::File {
+            path,
+            checksum: None,
+            ..
+        } = &self.source
+        else {
+            return Cow::Borrowed(self);
+        };
+        let stamp = FileStamp::of(path);
+        Cow::Owned(PrepKey {
+            hash: stamp.fold(ContentHash::new().u64(self.hash)).finish(),
+            file_stamp: Some(stamp),
+            ..self.clone()
+        })
     }
 
     /// Run the preparation this key describes.
@@ -376,10 +395,7 @@ impl EvalEngine {
     ///
     /// Propagates preparation and budget-validation failures.
     pub fn prepare(&self, config: &ExperimentConfig) -> Result<Prepared, SimError> {
-        let key = config_prep_key(config);
-        let data = self
-            .store
-            .get_or_try_insert_with(key.clone(), || key.prepare())?;
+        let data = self.prepare_shared(&config_prep_key(config))?;
         Prepared::from_shared(data, config)
     }
 
@@ -394,8 +410,9 @@ impl EvalEngine {
     ///
     /// Propagates preparation failures.
     pub fn prepare_shared(&self, key: &PrepKey) -> Result<Arc<PreparedData>, SimError> {
+        let key = key.stamped();
         self.store
-            .get_or_try_insert_with(key.clone(), || key.prepare())
+            .get_or_try_insert_with(key.clone().into_owned(), || key.prepare())
     }
 
     /// Phase 1 for a batch, scheduled by
@@ -414,10 +431,7 @@ impl EvalEngine {
             &self.policy,
             configs,
             config_prep_key,
-            |key| {
-                self.store
-                    .get_or_try_insert_with(key.clone(), || key.prepare())
-            },
+            |key| self.prepare_shared(key),
             |_, config, data: &Arc<PreparedData>| Prepared::from_shared(Arc::clone(data), config),
         )
     }

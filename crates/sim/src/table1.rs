@@ -67,9 +67,10 @@ pub fn evaluate_mixed_defense(
 }
 
 /// [`evaluate_mixed_defense`] with an explicit execution policy: the
-/// candidate placements fan out across the worker pool. Per-candidate
-/// RNGs derive from the master seed alone, and the worst candidate is
-/// chosen by an ordered scan, so the result is bit-identical to the
+/// (candidate placement, filter strength) cells fan out across the
+/// worker pool. Per-cell RNGs derive from the master seed alone, each
+/// candidate sums its cells in strength order, and the worst candidate
+/// is chosen by an ordered scan, so the result is bit-identical to the
 /// sequential path.
 ///
 /// # Errors
@@ -103,9 +104,10 @@ pub fn evaluate_mixed_defense_prepared(
 }
 
 /// [`evaluate_mixed_defense_prepared`] with the engine's warm-start
-/// knob: when `warm_sweep` is true, the filter-strength axis inside
-/// each candidate (already sequential) chains training from the
-/// neighbouring strength's fitted weights via
+/// knob: when `warm_sweep` is true, the candidates fan out instead of
+/// the cells, and the filter-strength axis inside each candidate runs
+/// in order, chaining training from the neighbouring strength's fitted
+/// weights via
 /// [`poisongame_ml::Classifier::fit_from`]. Opt-in only — it changes
 /// results slightly, so golden paths pass `false`.
 ///
@@ -120,6 +122,16 @@ pub fn evaluate_mixed_defense_opts(
     policy: &ExecPolicy,
     warm_sweep: bool,
 ) -> Result<(f64, f64), SimError> {
+    if !warm_sweep {
+        let accuracies = cold_cell_accuracies(
+            prepared,
+            config,
+            &strategy_cells(strategy),
+            placement_slack,
+            policy,
+        )?;
+        return Ok(fold_expected(strategy, &accuracies));
+    }
     let expected_per_candidate = try_parallel_map(
         policy,
         strategy.support(),
@@ -142,11 +154,9 @@ pub fn evaluate_mixed_defense_opts(
                     FilterStrength::RemoveFraction(theta),
                     config,
                     &mut rng,
-                    if warm_sweep { warm.as_ref() } else { None },
+                    warm.as_ref(),
                 )?;
-                if warm_sweep {
-                    warm = state;
-                }
+                warm = state;
                 expected += q * out.accuracy;
             }
             Ok(expected)
@@ -154,6 +164,77 @@ pub fn evaluate_mixed_defense_opts(
     )?;
 
     Ok(worst_candidate(strategy, &expected_per_candidate))
+}
+
+/// The (candidate placement, filter strength) cells of one strategy's
+/// cold empirical evaluation: candidate-major, strengths in support
+/// order, zero-probability strengths skipped (they contribute
+/// nothing). [`fold_expected`] reads accuracies back in this order.
+fn strategy_cells(strategy: &DefenderMixedStrategy) -> Vec<(f64, f64)> {
+    let mut cells = Vec::new();
+    for &candidate in strategy.support() {
+        cells.extend(
+            strategy
+                .support()
+                .iter()
+                .zip(strategy.probabilities())
+                .filter(|(_, &q)| q != 0.0)
+                .map(|(&theta, _)| (candidate, theta)),
+        );
+    }
+    cells
+}
+
+/// The accuracy of every cold (candidate placement, filter strength)
+/// cell, fanned out across the worker pool. Each cell's attack RNG
+/// derives from the master seed alone, so the results do not depend
+/// on the pool.
+///
+/// # Errors
+///
+/// The first (by cell index) pipeline failure.
+fn cold_cell_accuracies(
+    prepared: &Prepared,
+    config: &ExperimentConfig,
+    cells: &[(f64, f64)],
+    placement_slack: f64,
+    policy: &ExecPolicy,
+) -> Result<Vec<f64>, SimError> {
+    try_parallel_map(policy, cells, |_, &(candidate, theta)| {
+        let placement = crate::pipeline::hugging_placement(prepared, candidate, placement_slack);
+        let mut rng = cell_rng(config, candidate, theta);
+        run_cell(
+            prepared,
+            &config.scenario,
+            placement,
+            FilterStrength::RemoveFraction(theta),
+            config,
+            &mut rng,
+        )
+        .map(|out| out.accuracy)
+    })
+}
+
+/// Fold one strategy's cell accuracies (in [`strategy_cells`] order)
+/// into each candidate's expected accuracy, summed in strength order,
+/// and return the attacker's best response among the candidates.
+fn fold_expected(strategy: &DefenderMixedStrategy, accuracies: &[f64]) -> (f64, f64) {
+    let weights: Vec<f64> = strategy
+        .probabilities()
+        .iter()
+        .copied()
+        .filter(|&q| q != 0.0)
+        .collect();
+    let expected: Vec<f64> = (0..strategy.support().len())
+        .map(|c| {
+            let mut expected = 0.0;
+            for (k, &q) in weights.iter().enumerate() {
+                expected += q * accuracies[c * weights.len() + k];
+            }
+            expected
+        })
+        .collect();
+    worst_candidate(strategy, &expected)
 }
 
 /// The attacker's best response: the support position with the lowest
@@ -201,11 +282,10 @@ pub fn run_table1(
     )
 }
 
-/// [`run_table1`] with an explicit execution policy. Each support size
-/// is an independent cell (Algorithm 1 solve + empirical best-response
-/// evaluation), fanned out across the worker pool; the empirical
-/// evaluation inside each cell runs sequentially to keep the pool
-/// simple. Results are bit-identical at any thread count.
+/// [`run_table1`] with an explicit execution policy. The support sizes'
+/// Algorithm 1 solves fan out across the worker pool, then every row's
+/// empirical best-response cells run as one batch. Results are
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -331,61 +411,29 @@ fn run_table1_cells(
     let mut solved = try_parallel_map(policy, support_sizes, |_, &n| Ok::<_, SimError>(solve(n)))?;
     // Rows after the first failed solve never reach their cells.
     let live = solved.iter().take_while(|s| s.is_ok()).count();
-    // Row-major (row, candidate, strength) order; zero-probability
-    // strengths contribute nothing and are skipped, as in
-    // `evaluate_mixed_defense_opts`.
-    let weighted = |strategy: &DefenderMixedStrategy| -> Vec<(f64, f64)> {
-        strategy
-            .support()
-            .iter()
-            .zip(strategy.probabilities())
-            .filter(|(_, &q)| q != 0.0)
-            .map(|(&theta, &q)| (theta, q))
-            .collect()
-    };
-    let mut cells: Vec<(f64, f64)> = Vec::new();
+    // Row-major (row, candidate, strength) order; `ends[r]` closes row
+    // r's slice of the batch.
+    let mut cells = Vec::new();
+    let mut ends = Vec::with_capacity(live);
     for solved in &solved[..live] {
-        let strategy = &solved.as_ref().expect("live rows solved").0;
-        let weighted = weighted(strategy);
-        for &candidate in strategy.support() {
-            cells.extend(weighted.iter().map(|&(theta, _)| (candidate, theta)));
-        }
+        cells.extend(strategy_cells(
+            &solved.as_ref().expect("live rows solved").0,
+        ));
+        ends.push(cells.len());
     }
-    let accuracies = try_parallel_map(policy, &cells, |_, &(candidate, theta)| {
-        let placement = crate::pipeline::hugging_placement(prepared, candidate, 0.01);
-        let mut rng = cell_rng(config, candidate, theta);
-        run_cell(
-            prepared,
-            &config.scenario,
-            placement,
-            FilterStrength::RemoveFraction(theta),
-            config,
-            &mut rng,
-        )
-        .map(|out| out.accuracy)
-    })?;
+    let accuracies = cold_cell_accuracies(prepared, config, &cells, 0.01, policy)?;
     if live < solved.len() {
         return Err(solved.swap_remove(live).expect_err("first failed solve"));
     }
-    let mut accuracies = accuracies.into_iter();
+    let mut start = 0;
     Ok(support_sizes
         .iter()
         .zip(solved)
-        .map(|(&n, solved)| {
+        .zip(ends)
+        .map(|((&n, solved), end)| {
             let (strategy, predicted) = solved.expect("every row solved");
-            let weighted = weighted(&strategy);
-            let expected: Vec<f64> = strategy
-                .support()
-                .iter()
-                .map(|_| {
-                    let mut expected = 0.0;
-                    for &(_, q) in &weighted {
-                        expected += q * accuracies.next().expect("one accuracy per cell");
-                    }
-                    expected
-                })
-                .collect();
-            let worst = worst_candidate(&strategy, &expected);
+            let worst = fold_expected(&strategy, &accuracies[start..end]);
+            start = end;
             row(n, strategy, predicted, worst)
         })
         .collect())
