@@ -19,15 +19,20 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Rustdoc with warnings denied: an intra-doc link to a deleted or
+# private item fails here instead of rotting silently.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # The scenario-spec API is the front door for every new workload; run
 # its example end-to-end (quick 4×3×2 grid) so the surface can't rot
 # while unit tests stay green.
 echo "==> cargo run --release --example scenario_matrix"
 cargo run --release --example scenario_matrix
 
-# The same grid on the batched training path: minibatch fit kernel +
-# fused cross-cell evaluation. Keeps the PR-6 throughput shape from
-# rotting while the bit-exact default path stays the test baseline.
+# The same grid with the minibatch fit kernel, so that opt-in kernel
+# stays runnable end to end while the bit-exact row-SGD default stays
+# the test baseline.
 echo "==> cargo run --release --example scenario_matrix -- minibatch"
 cargo run --release --example scenario_matrix -- minibatch
 
@@ -239,7 +244,7 @@ echo "==> cargo run --release --example online_play"
 cargo run --release --example online_play
 
 # Training-kernel bench in smoke mode, named explicitly: row SGD vs
-# the blocked minibatch fit, plus the 24-cell grid with fused eval.
+# the blocked minibatch fit, alone and on the 24-cell grid.
 echo "==> cargo bench -p poisongame-bench --bench train_kernel -- --test (smoke)"
 cargo bench -p poisongame-bench --bench train_kernel -- --test
 

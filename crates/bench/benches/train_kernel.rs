@@ -6,14 +6,13 @@
 //!   (`FitKernel::Minibatch`), which gathers each batch into a packed
 //!   panel and computes its margins with one `gemv` per row block.
 //! * **matrix24** — the 24-cell scenario grid end to end through
-//!   [`EvalEngine`], historical shape (row SGD, per-cell eval) vs the
-//!   batched shape (minibatch fit + fused cross-cell evaluation).
+//!   [`EvalEngine`], row SGD vs minibatch fit (both evaluate every
+//!   cell in one batched pass).
 //!
 //! The minibatch path is *not* bit-identical to row SGD (margins are
 //! computed against a per-batch snapshot of the weights), so there is
 //! no cross-arm total assertion here — accuracy equivalence is pinned
-//! by the property tests in `poisongame-ml` instead. The fused-eval
-//! knob alone *is* bit-identical; `sim::scenario` pins that.
+//! by the property tests in `poisongame-ml` instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use poisongame_bench::{bench_dataset, bench_experiment_config};
@@ -78,9 +77,10 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-fn grid_total(config: &ExperimentConfig, matrix: &ScenarioMatrix, fused: bool) -> f64 {
-    let engine = EvalEngine::new().fused_eval(fused);
-    let results = engine.run_matrix(config, matrix).expect("grid runs");
+fn grid_total(config: &ExperimentConfig, matrix: &ScenarioMatrix) -> f64 {
+    let results = EvalEngine::new()
+        .run_matrix(config, matrix)
+        .expect("grid runs");
     results.cells.iter().map(|c| c.outcome.accuracy).sum()
 }
 
@@ -96,10 +96,10 @@ fn bench_matrix24(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_kernel/matrix24");
     group.sample_size(10);
     group.bench_function("row_sgd", |b| {
-        b.iter(|| black_box(grid_total(&row_config, &matrix, false)))
+        b.iter(|| black_box(grid_total(&row_config, &matrix)))
     });
-    group.bench_function("minibatch64_fused", |b| {
-        b.iter(|| black_box(grid_total(&batched_config, &matrix, true)))
+    group.bench_function("minibatch64", |b| {
+        b.iter(|| black_box(grid_total(&batched_config, &matrix)))
     });
     group.finish();
 }

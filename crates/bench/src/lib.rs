@@ -42,8 +42,8 @@ pub fn bench_dataset(rows: usize) -> Dataset {
     spambase_like(&SpambaseConfig::small(rows), &mut rng)
 }
 
-/// Game curves with the shape measured on the full-scale pipeline
-/// (EXPERIMENTS.md) — lets solver benches run without re-estimating.
+/// Game curves with the shape the full-scale synthetic pipeline
+/// estimates — lets solver benches run without re-estimating.
 pub fn calibrated_game() -> PoisonGame {
     let effect = EffectCurve::from_samples(&[
         (0.0, 4.5e-4),

@@ -135,9 +135,9 @@ fn kept_indices(probs: &[f64], exact: bool) -> Vec<usize> {
 ///
 /// Exact solvers produce crisp supports (kept whole, above a `1e-9`
 /// floor); for iterative solvers the grid distributions are collapsed
-/// to the densest points covering [`ITERATIVE_COVERAGE`] of the mass
-/// (their averaged strategies never reach exact zeros) and the
-/// defender's side is renormalized.
+/// to the densest points covering 95 % of the mass (their averaged
+/// strategies never reach exact zeros) and the defender's side is
+/// renormalized.
 ///
 /// # Errors
 ///

@@ -66,16 +66,22 @@ impl Filter for KnnDistanceFilter {
             }
             // Pairwise distances within the class (classes here are a
             // few thousand points, O(n²·d) is acceptable and exact).
+            // Each score needs only the k-th smallest distance, so one
+            // scratch buffer is reused and partitioned, not sorted.
+            let mut dists = Vec::with_capacity(idx.len() - 1);
             let scores: Vec<f64> = idx
                 .iter()
                 .map(|&i| {
-                    let mut dists: Vec<f64> = idx
-                        .iter()
-                        .filter(|&&j| j != i)
-                        .map(|&j| vector::squared_distance(data.point(i), data.point(j)))
-                        .collect();
-                    dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-                    dists[self.k - 1].sqrt()
+                    dists.clear();
+                    dists.extend(
+                        idx.iter()
+                            .filter(|&&j| j != i)
+                            .map(|&j| vector::squared_distance(data.point(i), data.point(j))),
+                    );
+                    dists
+                        .select_nth_unstable_by(self.k - 1, f64::total_cmp)
+                        .1
+                        .sqrt()
                 })
                 .collect();
             let threshold =
@@ -138,6 +144,66 @@ mod tests {
             .count();
         // The cluster shields itself: density scores stay low.
         assert!(caught < 5, "caught {caught} of 10 clustered poisons");
+    }
+
+    /// The filter's partition with every score computed the plain way:
+    /// all in-class distances fully sorted, the k-th read off.
+    fn full_sort_oracle(data: &Dataset, k: usize, fraction: f64) -> (Vec<usize>, Vec<usize>) {
+        let (mut kept, mut removed) = (Vec::new(), Vec::new());
+        for label in Label::both() {
+            let idx = data.class_indices(label);
+            let scores: Vec<f64> = idx
+                .iter()
+                .map(|&i| {
+                    let mut dists: Vec<f64> = idx
+                        .iter()
+                        .filter(|&&j| j != i)
+                        .map(|&j| vector::squared_distance(data.point(i), data.point(j)))
+                        .collect();
+                    dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    dists[k - 1].sqrt()
+                })
+                .collect();
+            let threshold = stats::quantile(&scores, 1.0 - fraction).unwrap();
+            for (&i, &s) in idx.iter().zip(&scores) {
+                if s <= threshold {
+                    kept.push(i);
+                } else {
+                    removed.push(i);
+                }
+            }
+        }
+        kept.sort_unstable();
+        removed.sort_unstable();
+        (kept, removed)
+    }
+
+    #[test]
+    fn partial_selection_matches_full_sort_oracle() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(24);
+        let mut data = gaussian_blobs(25, 3, 2.0, 0.8, &mut rng);
+        // Exact duplicates make tied (and zero) distances.
+        for i in [0, 1, 2, 30, 30, 31] {
+            let row = data.point(i).to_vec();
+            let label = data.label(i);
+            data.push(&row, label).unwrap();
+        }
+        let smallest_class = Label::both()
+            .iter()
+            .map(|&l| data.class_indices(l).len())
+            .min()
+            .unwrap();
+        for k in [1, 2, 5, smallest_class - 1] {
+            for fraction in [0.0, 0.1, 0.3] {
+                let outcome = KnnDistanceFilter::new(k, fraction).split(&data).unwrap();
+                let (kept, removed) = full_sort_oracle(&data, k, fraction);
+                assert_eq!(outcome.kept_indices, kept, "k={k} fraction={fraction}");
+                assert_eq!(
+                    outcome.removed_indices, removed,
+                    "k={k} fraction={fraction}"
+                );
+            }
+        }
     }
 
     #[test]

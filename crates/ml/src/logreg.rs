@@ -7,9 +7,7 @@
 use crate::error::MlError;
 use crate::kernel::BatchScratch;
 use crate::loss;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{check_trainable, Classifier, FitKernel, LinearState, TrainConfig};
 use poisongame_data::DataView;
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
@@ -73,22 +71,15 @@ impl LogisticRegression {
         Ok(loss::sigmoid(self.decision_function(x)?))
     }
 
-    /// The shared SGD loop: cold starts pass `init = None` (weights at
-    /// the origin — the historical path, bit for bit), warm starts the
-    /// neighbouring cell's state.
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
+    /// The SGD loop, starting from weights at the origin.
+    fn fit_impl(&mut self, data: &dyn DataView) -> Result<(), MlError> {
         self.config.validate()?;
         check_trainable(data)?;
 
         let dim = data.dim();
         let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
+        let mut w = vec![0.0; dim];
+        let mut b = 0.0;
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.config.seed);
         let mut t: u64 = 0;
         let mut scratch = match self.config.kernel {
@@ -163,11 +154,7 @@ impl Default for LogisticRegression {
 
 impl Classifier for LogisticRegression {
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
+        self.fit_impl(data)
     }
 
     fn linear_state(&self) -> Option<LinearState> {

@@ -105,8 +105,9 @@ impl TrainConfig {
     }
 }
 
-/// The linear state `(w, b)` of a fitted linear model — the unit of
-/// warm-start transfer between neighbouring sweep cells.
+/// The linear state `(w, b)` of a fitted linear model — what batched
+/// held-out evaluation ([`crate::batch::batched_accuracy`]) stacks
+/// across cells.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearState {
     /// Weight vector.
@@ -132,24 +133,6 @@ pub trait Classifier {
     /// [`MlError::SingleClass`], [`MlError::BadHyperparameter`] or
     /// [`MlError::Diverged`] as applicable.
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError>;
-
-    /// Fit continuing from `init` instead of the cold-start origin —
-    /// the warm-start hook monotone sweeps use to seed a cell from its
-    /// neighbour's solution. The result is *not* required to equal a
-    /// cold [`Classifier::fit`]; callers opt in explicitly.
-    ///
-    /// The default implementation ignores `init` and fits cold, so
-    /// models without a meaningful linear state stay correct.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Classifier::fit`], plus
-    /// [`MlError::DimensionMismatch`] when `init`'s width differs from
-    /// the data's.
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        let _ = init;
-        self.fit(data)
-    }
 
     /// The fitted linear state, if this model exposes one (`None` for
     /// unfitted or non-linear models).
@@ -221,28 +204,6 @@ pub fn check_trainable(data: &dyn DataView) -> Result<(), MlError> {
     Ok(())
 }
 
-/// Validate a warm-start state against the data it will train on.
-///
-/// # Errors
-///
-/// Returns [`MlError::DimensionMismatch`] when widths differ and
-/// [`MlError::BadHyperparameter`] for non-finite state.
-pub fn check_warm_start(init: &LinearState, dim: usize) -> Result<(), MlError> {
-    if init.weights.len() != dim {
-        return Err(MlError::DimensionMismatch {
-            expected: dim,
-            found: init.weights.len(),
-        });
-    }
-    if !init.bias.is_finite() || init.weights.iter().any(|w| !w.is_finite()) {
-        return Err(MlError::BadHyperparameter {
-            what: "warm_start",
-            value: f64::NAN,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,31 +263,5 @@ mod tests {
         )
         .unwrap();
         assert!(check_trainable(&both).is_ok());
-    }
-
-    #[test]
-    fn warm_start_state_is_validated() {
-        let good = LinearState {
-            weights: vec![0.5, -0.5],
-            bias: 0.1,
-        };
-        assert!(check_warm_start(&good, 2).is_ok());
-        assert!(matches!(
-            check_warm_start(&good, 3).unwrap_err(),
-            MlError::DimensionMismatch {
-                expected: 3,
-                found: 2
-            }
-        ));
-        let bad = LinearState {
-            weights: vec![f64::NAN, 0.0],
-            bias: 0.0,
-        };
-        assert!(check_warm_start(&bad, 2).is_err());
-        let bad_bias = LinearState {
-            weights: vec![0.0, 0.0],
-            bias: f64::INFINITY,
-        };
-        assert!(check_warm_start(&bad_bias, 2).is_err());
     }
 }

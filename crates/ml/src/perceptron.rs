@@ -2,9 +2,7 @@
 
 use crate::error::MlError;
 use crate::kernel::BatchScratch;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{check_trainable, Classifier, FitKernel, LinearState, TrainConfig};
 use poisongame_data::DataView;
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
@@ -65,11 +63,8 @@ impl Default for AveragedPerceptron {
 }
 
 impl AveragedPerceptron {
-    /// The shared training loop: cold starts pass `init = None` (the
-    /// historical path, bit for bit); warm starts seed the *active*
-    /// weights from the neighbouring cell's averaged solution (the
-    /// averaging accumulators always restart).
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
+    /// The training loop, starting from weights at the origin.
+    fn fit_impl(&mut self, data: &dyn DataView) -> Result<(), MlError> {
         if self.config.epochs == 0 {
             return Err(MlError::BadHyperparameter {
                 what: "epochs",
@@ -86,13 +81,8 @@ impl AveragedPerceptron {
 
         let dim = data.dim();
         let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
+        let mut w = vec![0.0; dim];
+        let mut b = 0.0;
         // Accumulators for the average.
         let mut w_sum = vec![0.0; dim];
         let mut b_sum = 0.0;
@@ -165,11 +155,7 @@ impl AveragedPerceptron {
 
 impl Classifier for AveragedPerceptron {
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
+        self.fit_impl(data)
     }
 
     fn linear_state(&self) -> Option<LinearState> {

@@ -11,9 +11,7 @@
 use crate::error::MlError;
 use crate::kernel::BatchScratch;
 use crate::loss;
-use crate::model::{
-    check_trainable, check_warm_start, Classifier, FitKernel, LinearState, TrainConfig,
-};
+use crate::model::{check_trainable, Classifier, FitKernel, LinearState, TrainConfig};
 use poisongame_data::{DataView, Dataset};
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
@@ -88,22 +86,15 @@ impl LinearSvm {
         Ok(reg + loss)
     }
 
-    /// The shared SGD loop: cold starts pass `init = None` (weights at
-    /// the origin — the historical path, bit for bit), warm starts the
-    /// neighbouring cell's state.
-    fn fit_impl(&mut self, data: &dyn DataView, init: Option<&LinearState>) -> Result<(), MlError> {
+    /// The SGD loop, starting from weights at the origin.
+    fn fit_impl(&mut self, data: &dyn DataView) -> Result<(), MlError> {
         self.config.validate()?;
         check_trainable(data)?;
 
         let dim = data.dim();
         let n = data.len();
-        let (mut w, mut b) = match init {
-            Some(state) => {
-                check_warm_start(state, dim)?;
-                (state.weights.clone(), state.bias)
-            }
-            None => (vec![0.0; dim], 0.0),
-        };
+        let mut w = vec![0.0; dim];
+        let mut b = 0.0;
         let mut rng = Xoshiro256StarStar::seed_from_u64(self.config.seed);
         let mut t: u64 = 0;
         let mut scratch = match self.config.kernel {
@@ -183,11 +174,7 @@ impl Default for LinearSvm {
 
 impl Classifier for LinearSvm {
     fn fit(&mut self, data: &dyn DataView) -> Result<(), MlError> {
-        self.fit_impl(data, None)
-    }
-
-    fn fit_from(&mut self, data: &dyn DataView, init: &LinearState) -> Result<(), MlError> {
-        self.fit_impl(data, Some(init))
+        self.fit_impl(data)
     }
 
     fn linear_state(&self) -> Option<LinearState> {
@@ -359,66 +346,6 @@ mod tests {
         });
         svm.fit(&data).unwrap();
         assert_eq!(svm.bias(), 0.0);
-    }
-
-    #[test]
-    fn fit_from_origin_state_matches_cold_fit_bitwise() {
-        // Warm-starting from the cold-start origin must be the *same*
-        // computation — this pins the fit/fit_impl refactor.
-        let data = blobs(11);
-        let mut cold = LinearSvm::new(quick_config());
-        let mut warm = LinearSvm::new(quick_config());
-        cold.fit(&data).unwrap();
-        let origin = LinearState {
-            weights: vec![0.0; data.dim()],
-            bias: 0.0,
-        };
-        warm.fit_from(&data, &origin).unwrap();
-        let cold_bits: Vec<u64> = cold
-            .weights()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let warm_bits: Vec<u64> = warm
-            .weights()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(cold_bits, warm_bits);
-        assert_eq!(cold.bias().to_bits(), warm.bias().to_bits());
-    }
-
-    #[test]
-    fn warm_start_chains_and_stays_accurate() {
-        let data = blobs(12);
-        let mut first = LinearSvm::new(quick_config());
-        first.fit(&data).unwrap();
-        let state = first.linear_state().unwrap();
-        assert_eq!(state.weights.len(), data.dim());
-        // A short continuation from the fitted state keeps quality.
-        let mut second = LinearSvm::new(TrainConfig {
-            epochs: 3,
-            ..quick_config()
-        });
-        second.fit_from(&data, &state).unwrap();
-        assert!(second.accuracy_on(&data) > 0.95);
-    }
-
-    #[test]
-    fn warm_start_validates_state() {
-        let data = blobs(13);
-        let mut svm = LinearSvm::new(quick_config());
-        let skinny = LinearState {
-            weights: vec![1.0],
-            bias: 0.0,
-        };
-        assert!(matches!(
-            svm.fit_from(&data, &skinny).unwrap_err(),
-            MlError::DimensionMismatch { .. }
-        ));
-        assert!(svm.linear_state().is_none(), "failed fit must not fit");
     }
 
     #[test]

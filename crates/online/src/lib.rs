@@ -22,7 +22,7 @@
 //!   attack × defense × learner cell through the
 //!   [`poisongame_sim::EvalEngine`] (`PrepCache`-hit per query,
 //!   memoized per entry).
-//! * [`play`] — the deterministic simulator and its convergence
+//! * [`play`](mod@play) — the deterministic simulator and its convergence
 //!   diagnostics (per-player external regret, exploitability, NE
 //!   gap), serialized as an [`OnlineTrace`].
 //! * [`spec`] — the serializable [`OnlineSpec`] the serving protocol

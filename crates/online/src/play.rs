@@ -1,6 +1,6 @@
 //! The deterministic repeated-game simulator and its diagnostics.
 //!
-//! Two [`Learner`]s — the attacker maximizing, the defender minimizing
+//! Two [`Learner`](crate::Learner)s — the attacker maximizing, the defender minimizing
 //! — play `T` rounds of the zero-sum game a [`RoundPayoff`] provider
 //! scores. Each round both sides read their current mixed strategy,
 //! receive full-information feedback, and update. The simulator

@@ -3,13 +3,13 @@
 //! Architecture (all `std`, no external runtime):
 //!
 //! * **Multiplexer** — one readiness loop over nonblocking sockets
-//!   ([`crate::mux`]) replaces thread-per-connection: it accepts,
+//!   (the private `mux` module) replaces thread-per-connection: it accepts,
 //!   parses frames, answers `stats`/`resize`/`shutdown` inline (they
 //!   stay responsive even when evaluation is saturated) and flushes
 //!   executor-queued responses. Thousands of idle pipelined
 //!   connections cost one thread.
 //! * **Shard pool** — evaluation requests are admitted to one of N
-//!   independent engine shards ([`crate::shard`]), routed by
+//!   independent engine shards (the private `shard` module), routed by
 //!   prep-key affinity (`content hash % N` — same preparation, same
 //!   shard, so cache locality survives sharding) with a least-loaded
 //!   fallback for requests carrying no preparation key (`solve`).
@@ -18,7 +18,7 @@
 //!   server never buffers unboundedly and never blocks the
 //!   multiplexer on evaluation. Every admitted job carries a
 //!   deterministic work estimate computed from its request document
-//!   ([`work_estimate`]).
+//!   (`work_estimate`).
 //! * **Executors** — `workers` threads shared by every shard run the
 //!   jobs, one job at a time each, to completion. Every shard admits
 //!   to one pending list, which the executors seal a generation at a
@@ -87,7 +87,7 @@ pub struct ServerConfig {
     /// Executor threads, in total across all shards; `0` means one per
     /// hardware thread. Each executor runs one request at a time to
     /// completion, taking the cheapest waiting request of the current
-    /// generation (see [`crate::shard`]), so this is the number of
+    /// generation (see the `shard` module), so this is the number of
     /// requests evaluated at once. Parallelism inside one request is
     /// set by `eval_threads`, not here. Each executor is an OS thread,
     /// so the count is capped at [`MAX_WORKERS`].

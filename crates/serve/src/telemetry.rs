@@ -12,7 +12,7 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`Telemetry`] / `ShardObs` / `MuxObs` — the server's cached
+//! * `Telemetry` / `ShardObs` / `MuxObs` — the server's cached
 //!   metric handles (registration happens once at bind time, the hot
 //!   path only touches atomics).
 //! * Wire codecs: [`registry_to_json`] / [`registry_from_json`] carry

@@ -14,10 +14,21 @@ use poisongame_serve::protocol::CellRequest;
 use poisongame_serve::server::{Server, ServerConfig};
 use poisongame_serve::{ErrorCode, ServeError};
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, Scenario};
+use poisongame_sim::scenario::Scenario;
+use poisongame_sim::EvalEngine;
 use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+
+/// The batch pipeline's JSON for one cell request. A served cell
+/// carries no engine stats block, so the local run drops it too.
+fn batch_cell_json(cell: &CellRequest) -> String {
+    let mut results = EvalEngine::new()
+        .run_matrix(&cell.config, &cell.as_matrix())
+        .expect("batch matrix");
+    results.engine = None;
+    results.to_json_string()
+}
 
 fn spawn_server(config: ServerConfig) -> (SocketAddr, poisongame_serve::ServerHandle) {
     let server = Server::bind(config).expect("bind");
@@ -74,9 +85,7 @@ fn served_file_source_matches_local_pipeline() {
         Some(sum),
         Some(64),
     );
-    let expected = run_matrix(&resolved.config, &resolved.as_matrix())
-        .expect("batch")
-        .to_json_string();
+    let expected = batch_cell_json(&resolved);
 
     let mut client = Client::connect(addr).expect("connect");
     // The wire request names the *relative* path; the server resolves
@@ -162,9 +171,7 @@ fn served_csv_text_matches_local_pipeline_and_corruption_is_structured() {
     let text = std::fs::read_to_string(dir.join("spam.csv")).unwrap();
     let mut request = file_cell("spam.csv", None, None);
     request.config.source = DataSource::CsvText { text };
-    let expected = run_matrix(&request.config, &request.as_matrix())
-        .expect("batch")
-        .to_json_string();
+    let expected = batch_cell_json(&request);
     // No data dir: inline text never touches the file allow-list.
     let (addr, handle) = spawn_server(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");

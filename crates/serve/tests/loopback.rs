@@ -10,7 +10,8 @@ use poisongame_serve::ErrorCode;
 use poisongame_serve::ServeError;
 use poisongame_sim::jsonio::Json;
 use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
-use poisongame_sim::scenario::{run_matrix, DefenseSpec, LearnerSpec, Scenario};
+use poisongame_sim::scenario::{DefenseSpec, LearnerSpec, Scenario};
+use poisongame_sim::EvalEngine;
 use std::net::SocketAddr;
 
 /// Small-but-real experiment config: the synthetic-Spambase geometry
@@ -30,6 +31,16 @@ fn quick_cell(seed: u64, scenario: Scenario) -> CellRequest {
         scenario,
         ..CellRequest::default()
     }
+}
+
+/// The batch pipeline's JSON for one cell request. A served cell
+/// carries no engine stats block, so the local run drops it too.
+fn batch_cell_json(cell: &CellRequest) -> String {
+    let mut results = EvalEngine::new()
+        .run_matrix(&cell.config, &cell.as_matrix())
+        .expect("batch matrix");
+    results.engine = None;
+    results.to_json_string()
 }
 
 fn spawn_server(config: ServerConfig) -> (SocketAddr, poisongame_serve::ServerHandle) {
@@ -59,14 +70,7 @@ fn concurrent_cells_are_byte_identical_to_the_batch_pipeline() {
     ];
 
     // The ground truth: the batch pipeline, run locally.
-    let expected: Vec<String> = cells
-        .iter()
-        .map(|cell| {
-            run_matrix(&cell.config, &cell.as_matrix())
-                .expect("batch matrix")
-                .to_json_string()
-        })
-        .collect();
+    let expected: Vec<String> = cells.iter().map(batch_cell_json).collect();
 
     // Four concurrent clients, each pipelining all three cells.
     let mut threads = Vec::new();
@@ -379,12 +383,9 @@ fn estimate_and_solve_match_local_computation() {
         strengths: vec![0.0, 0.2],
     };
     let served = client.estimate(&est_req).expect("estimate");
-    let local = poisongame_sim::estimate::estimate_curves(
-        &est_req.config,
-        &est_req.placements,
-        &est_req.strengths,
-    )
-    .expect("local estimate");
+    let local = EvalEngine::new()
+        .estimate_curves(&est_req.config, &est_req.placements, &est_req.strengths)
+        .expect("local estimate");
     assert_eq!(served, local, "served estimate equals the batch pipeline");
 
     let solve_req = SolveRequest {

@@ -25,11 +25,8 @@
 //! engine results are bit-identical to the cold golden path (pinned by
 //! `tests/determinism.rs` and `tests/scenario_compat.rs`).
 //!
-//! Warm-started sweeps ([`EvalEngine::warm_start_sweep`]) are the one
-//! opt-in that trades bit-compatibility for speed: monotone sweeps
-//! continue training from the neighbouring cell's weights
-//! ([`poisongame_ml::Classifier::fit_from`]). Off by default, never on
-//! a golden path.
+//! Every artifact has one entry point here, and each validates its
+//! parameters before it pays for a preparation.
 //!
 //! # Example
 //!
@@ -48,14 +45,16 @@
 //! ```
 
 use crate::error::SimError;
-use crate::estimate::{estimate_curves_prepared, CurveEstimate};
+use crate::estimate::{estimate_curves_prepared, validate_grids, CurveEstimate};
 use crate::exec::ExecPolicy;
-use crate::fig1::{run_fig1_prepared, run_fig1_warm, Fig1Config, Fig1Results};
+use crate::fig1::{run_fig1_prepared, validate_strengths, Fig1Config, Fig1Results};
 use crate::monte_carlo::{simulate_repeated_game_parallel, MonteCarloResults};
 use crate::pipeline::{prepare_data, DataSource, ExperimentConfig, Prepared, PreparedData};
 use crate::scaling::{run_scaling_with, ScalingResults};
-use crate::scenario::{run_matrix_prepared_opts, EngineStats, MatrixResults, ScenarioMatrix};
-use crate::table1::{run_table1_prepared, Table1Results};
+use crate::scenario::{
+    run_matrix_prepared, validate_matrix, EngineStats, MatrixResults, ScenarioMatrix,
+};
+use crate::table1::{run_table1_prepared, validate_support_sizes, Table1Results};
 use poisongame_core::{Algorithm1Config, DefenderMixedStrategy, PoisonGame};
 use poisongame_data::{CacheStats, ContentHash, PrepCache};
 use std::borrow::Cow;
@@ -158,7 +157,7 @@ impl PrepKey {
             // knobs, not content: they only size the chunks and waves
             // of the one streaming preparation, and every value gives
             // bit-identical results (pinned by `tests/ingest.rs`), so
-            // they share a key — the same precedent as `fused_eval`.
+            // they share a key.
             DataSource::File {
                 path,
                 checksum,
@@ -297,13 +296,11 @@ pub fn config_prep_key(config: &ExperimentConfig) -> PrepKey {
 pub struct EvalEngine {
     policy: ExecPolicy,
     store: PrepCache<PrepKey, PreparedData>,
-    warm_start_sweep: bool,
-    fused_eval: bool,
 }
 
 impl EvalEngine {
-    /// Engine on the default (fully parallel) execution policy, cold
-    /// store, warm-start off.
+    /// Engine on the default (fully parallel) execution policy and a
+    /// cold store.
     pub fn new() -> Self {
         Self::default()
     }
@@ -333,44 +330,9 @@ impl EvalEngine {
         self.store.capacity()
     }
 
-    /// Opt in (or out) of warm-started monotone sweeps: cells of
-    /// [`EvalEngine::run_fig1`] and the per-row strength axis of
-    /// [`EvalEngine::run_table1`] continue training from the
-    /// neighbouring cell's fitted weights. **Changes results** — the
-    /// golden reproduction paths keep this off.
-    pub fn warm_start_sweep(mut self, on: bool) -> Self {
-        self.warm_start_sweep = on;
-        self
-    }
-
     /// The engine's execution policy.
     pub fn policy(&self) -> &ExecPolicy {
         &self.policy
-    }
-
-    /// Whether warm-started sweeps are on.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_start_sweep
-    }
-
-    /// Opt in (or out) of fused cross-cell evaluation: matrix cells
-    /// only filter + train in the worker pool, and every cell's
-    /// [`poisongame_ml::LinearState`] is then evaluated against the
-    /// shared held-out features in one blocked multi-RHS GEMM (see
-    /// [`crate::scenario::run_matrix_prepared_opts`]). Results are
-    /// **bit-identical** to the per-cell path — the knob only
-    /// reschedules the evaluation flops — so unlike
-    /// [`EvalEngine::warm_start_sweep`] this is safe on golden paths;
-    /// it is still off by default to keep the default engine's
-    /// execution shape the historical one.
-    pub fn fused_eval(mut self, on: bool) -> Self {
-        self.fused_eval = on;
-        self
-    }
-
-    /// Whether fused cross-cell evaluation is on.
-    pub fn fused_eval_enabled(&self) -> bool {
-        self.fused_eval
     }
 
     /// Preparation-store hit/miss counters.
@@ -437,24 +399,25 @@ impl EvalEngine {
     }
 
     /// Run a scenario matrix through the two-phase graph: cached
-    /// prepare, then the parallel cell fan-out. Results are
-    /// bit-identical to [`crate::scenario::run_matrix`]; the returned
-    /// [`EngineStats`] additionally reports cache traffic and
+    /// prepare, then [`crate::scenario::run_matrix_prepared`]. The
+    /// returned [`EngineStats`] additionally reports cache traffic and
     /// throughput (ignored by equality).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::scenario::run_matrix_with`].
+    /// Returns [`SimError::BadParameter`] for an empty axis or an
+    /// out-of-range strength (before preparing) and propagates
+    /// preparation and per-cell pipeline failures.
     pub fn run_matrix(
         &self,
         config: &ExperimentConfig,
         matrix: &ScenarioMatrix,
     ) -> Result<MatrixResults, SimError> {
+        validate_matrix(matrix)?;
         let before = self.store.stats();
         let start = Instant::now();
         let prepared = self.prepare(config)?;
-        let mut results =
-            run_matrix_prepared_opts(&prepared, config, matrix, &self.policy, self.fused_eval)?;
+        let mut results = run_matrix_prepared(&prepared, config, matrix, &self.policy)?;
         let after = self.store.stats();
         results.engine = Some(EngineStats {
             prep_hits: after.hits - before.hits,
@@ -465,34 +428,32 @@ impl EvalEngine {
         Ok(results)
     }
 
-    /// Run the Figure 1 sweep with cached preparation. With
-    /// [`EvalEngine::warm_start_sweep`] on, cells run sequentially and
-    /// chain training along the strength axis; off (default), results
-    /// are bit-identical to [`crate::fig1::run_fig1`].
+    /// Run the Figure 1 sweep with cached preparation (see
+    /// [`crate::fig1::run_fig1_prepared`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::fig1::run_fig1_with`].
+    /// Returns [`SimError::BadParameter`] for an empty or out-of-range
+    /// strength grid (before preparing) and propagates preparation and
+    /// pipeline failures.
     pub fn run_fig1(
         &self,
         config: &ExperimentConfig,
         sweep: &Fig1Config,
     ) -> Result<Fig1Results, SimError> {
+        validate_strengths(&sweep.strengths)?;
         let prepared = self.prepare(config)?;
-        if self.warm_start_sweep {
-            run_fig1_warm(&prepared, config, sweep)
-        } else {
-            run_fig1_prepared(&prepared, config, sweep, &self.policy)
-        }
+        run_fig1_prepared(&prepared, config, sweep, &self.policy)
     }
 
-    /// Run Table 1 with cached preparation (and, under
-    /// [`EvalEngine::warm_start_sweep`], warm-chained empirical
-    /// evaluation along each row's strength axis).
+    /// Run Table 1 with cached preparation (see
+    /// [`crate::table1::run_table1_prepared`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::table1::run_table1_with`].
+    /// Returns [`SimError::BadParameter`] for an empty size list
+    /// (before preparing) and propagates preparation, solver and
+    /// pipeline failures.
     pub fn run_table1(
         &self,
         config: &ExperimentConfig,
@@ -500,6 +461,7 @@ impl EvalEngine {
         support_sizes: &[usize],
         best_pure_accuracy: f64,
     ) -> Result<Table1Results, SimError> {
+        validate_support_sizes(support_sizes)?;
         let prepared = self.prepare(config)?;
         run_table1_prepared(
             &prepared,
@@ -508,22 +470,26 @@ impl EvalEngine {
             support_sizes,
             best_pure_accuracy,
             &self.policy,
-            self.warm_start_sweep,
         )
     }
 
     /// Estimate the game curves with cached preparation, fanning the
-    /// estimate's cells out on the engine's policy.
+    /// estimate's cells out on the engine's policy (see
+    /// [`crate::estimate::estimate_curves_prepared`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::estimate::estimate_curves_with`].
+    /// Returns [`SimError::BadParameter`] for an empty grid or a grid
+    /// value outside `[0, 1)` (before preparing) and otherwise the
+    /// conditions of [`crate::estimate::estimate_curves_prepared`],
+    /// plus preparation failures.
     pub fn estimate_curves(
         &self,
         config: &ExperimentConfig,
         placements: &[f64],
         strengths: &[f64],
     ) -> Result<CurveEstimate, SimError> {
+        validate_grids(placements, strengths)?;
         let prepared = self.prepare(config)?;
         estimate_curves_prepared(&prepared, config, placements, strengths, &self.policy)
     }
@@ -573,7 +539,9 @@ impl EvalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run_matrix_with;
+    use crate::pipeline::{hugging_placement, prepare, run_cell};
+    use poisongame_defense::FilterStrength;
+    use rand::SeedableRng;
 
     fn quick_config(seed: u64) -> ExperimentConfig {
         ExperimentConfig {
@@ -684,7 +652,13 @@ mod tests {
     fn engine_matrix_matches_cold_path_and_reports_stats() {
         let config = quick_config(7);
         let matrix = ScenarioMatrix::default();
-        let cold = run_matrix_with(&config, &matrix, &ExecPolicy::default()).unwrap();
+        let cold = run_matrix_prepared(
+            &prepare(&config).unwrap(),
+            &config,
+            &matrix,
+            &ExecPolicy::default(),
+        )
+        .unwrap();
         let engine = EvalEngine::new();
         let first = engine.run_matrix(&config, &matrix).unwrap();
         let second = engine.run_matrix(&config, &matrix).unwrap();
@@ -700,39 +674,33 @@ mod tests {
     }
 
     #[test]
-    fn engine_fig1_cold_is_bit_identical_warm_is_not_golden() {
+    fn engine_fig1_is_bit_identical_to_cold_prepared() {
         let config = quick_config(9);
         let sweep = Fig1Config {
             strengths: vec![0.0, 0.1, 0.2],
             placement_slack: 0.01,
         };
-        let cold = crate::fig1::run_fig1(&config, &sweep).unwrap();
+        let cold = run_fig1_prepared(
+            &prepare(&config).unwrap(),
+            &config,
+            &sweep,
+            &ExecPolicy::sequential(),
+        )
+        .unwrap();
         let engine = EvalEngine::new();
         let cached = engine.run_fig1(&config, &sweep).unwrap();
         assert_eq!(cold, cached, "cache must not change results");
-
-        let warm_engine = EvalEngine::new().warm_start_sweep(true);
-        assert!(warm_engine.warm_start_enabled());
-        let warm = warm_engine.run_fig1(&config, &sweep).unwrap();
-        // The warm sweep is a *different* (approximate) computation:
-        // same shape, valid accuracies, same grid.
-        assert_eq!(warm.rows.len(), cold.rows.len());
-        assert_eq!(warm.n_poison, cold.n_poison);
-        for (w, c) in warm.rows.iter().zip(&cold.rows) {
-            assert_eq!(w.removed_fraction, c.removed_fraction);
-            assert!((0.0..=1.0).contains(&w.accuracy_under_attack));
-            assert!((0.0..=1.0).contains(&w.accuracy_clean));
+        for (c, e) in cold.rows.iter().zip(&cached.rows) {
+            assert_eq!(
+                c.accuracy_under_attack.to_bits(),
+                e.accuracy_under_attack.to_bits()
+            );
+            assert_eq!(c.accuracy_clean.to_bits(), e.accuracy_clean.to_bits());
         }
-        // And the θ=0 cell (first in the chain, no neighbour yet) is
-        // the cold computation exactly.
-        assert_eq!(
-            warm.rows[0].accuracy_under_attack.to_bits(),
-            cold.rows[0].accuracy_under_attack.to_bits()
-        );
     }
 
     #[test]
-    fn fused_engine_matrix_is_byte_identical_to_default() {
+    fn engine_matrix_cells_equal_run_cell_of_their_seed() {
         let config = quick_config(13);
         let matrix = ScenarioMatrix {
             attacks: vec![
@@ -741,19 +709,120 @@ mod tests {
             ],
             ..ScenarioMatrix::default()
         };
-        let plain = EvalEngine::new().run_matrix(&config, &matrix).unwrap();
-        let fused_engine = EvalEngine::new().fused_eval(true);
-        assert!(fused_engine.fused_eval_enabled());
-        let fused = fused_engine.run_matrix(&config, &matrix).unwrap();
-        assert_eq!(plain, fused);
-        for (a, b) in plain.cells.iter().zip(&fused.cells) {
+        let engine = EvalEngine::new();
+        let results = engine.run_matrix(&config, &matrix).unwrap();
+        let prepared = engine.prepare(&config).unwrap();
+        let placement = hugging_placement(&prepared, matrix.strength, matrix.placement_slack);
+        assert_eq!(results.cells.len(), 2);
+        for cell in &results.cells {
+            let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(cell.cell_seed);
+            let alone = run_cell(
+                &prepared,
+                &cell.scenario,
+                placement,
+                FilterStrength::RemoveFraction(matrix.strength),
+                &config,
+                &mut rng,
+            )
+            .unwrap();
+            assert_eq!(alone, cell.outcome);
             assert_eq!(
-                a.outcome.accuracy.to_bits(),
-                b.outcome.accuracy.to_bits(),
-                "fused eval must be bit-identical"
+                alone.accuracy.to_bits(),
+                cell.outcome.accuracy.to_bits(),
+                "batched eval must be bit-identical to per-cell eval"
             );
         }
-        assert!(!EvalEngine::new().fused_eval_enabled());
+    }
+
+    /// Run `call` on a fresh engine against a file source whose
+    /// preparation fails with an I/O error (the path runs through a
+    /// regular file, so opening it is `ENOTDIR`, not the absent-file
+    /// fallback). The call must fail with `BadParameter { what }`
+    /// without having tried to prepare: a preparation would have been
+    /// a cache miss and an I/O error.
+    fn assert_rejected_before_prepare<T: std::fmt::Debug>(
+        what: &str,
+        call: impl Fn(&EvalEngine, &ExperimentConfig) -> Result<T, SimError>,
+    ) {
+        let config = ExperimentConfig {
+            source: DataSource::File {
+                path: concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/absent.csv").into(),
+                checksum: None,
+                format: "spambase".into(),
+                chunk_rows: None,
+                max_inflight_chunks: None,
+            },
+            ..quick_config(17)
+        };
+        let engine = EvalEngine::new();
+        let err = call(&engine, &config).expect_err("bad parameters must be rejected");
+        assert!(
+            matches!(err, SimError::BadParameter { what: w, .. } if w == what),
+            "expected BadParameter({what}), got {err:?}"
+        );
+        assert_eq!(engine.cache_stats().misses, 0, "{what}: prepared first");
+        assert!(
+            matches!(engine.prepare(&config), Err(SimError::Ingest(_))),
+            "the fixture must fail to prepare"
+        );
+    }
+
+    #[test]
+    fn run_fig1_validates_the_grid_before_preparing() {
+        for (strengths, what) in [(vec![], "strengths"), (vec![0.1, 1.2], "strength")] {
+            let sweep = Fig1Config {
+                strengths,
+                placement_slack: 0.01,
+            };
+            assert_rejected_before_prepare(what, |engine, config| engine.run_fig1(config, &sweep));
+        }
+    }
+
+    #[test]
+    fn estimate_curves_validates_the_grids_before_preparing() {
+        for (placements, strengths, what) in [
+            (vec![], vec![0.1], "grids"),
+            (vec![0.1], vec![], "grids"),
+            (vec![0.1, f64::NAN], vec![0.1], "placement"),
+            (vec![0.1], vec![-0.1], "strength"),
+        ] {
+            assert_rejected_before_prepare(what, |engine, config| {
+                engine.estimate_curves(config, &placements, &strengths)
+            });
+        }
+    }
+
+    #[test]
+    fn run_table1_validates_support_sizes_before_preparing() {
+        let curves = CurveEstimate {
+            effect: poisongame_core::EffectCurve::from_samples(&[(0.0, 1e-4), (0.4, 0.0)]).unwrap(),
+            cost: poisongame_core::CostCurve::from_samples(&[(0.0, 0.0), (0.4, 0.05)]).unwrap(),
+            effect_samples: vec![],
+            cost_samples: vec![],
+            baseline_accuracy: 0.9,
+            n_poison: 10,
+        };
+        assert_rejected_before_prepare("support_sizes", |engine, config| {
+            engine.run_table1(config, &curves, &[], 0.8)
+        });
+    }
+
+    #[test]
+    fn run_matrix_validates_the_matrix_before_preparing() {
+        let empty = ScenarioMatrix {
+            learners: vec![],
+            ..ScenarioMatrix::default()
+        };
+        assert_rejected_before_prepare("matrix axes", |engine, config| {
+            engine.run_matrix(config, &empty)
+        });
+        let too_strong = ScenarioMatrix {
+            strength: 1.0,
+            ..ScenarioMatrix::default()
+        };
+        assert_rejected_before_prepare("strength", |engine, config| {
+            engine.run_matrix(config, &too_strong)
+        });
     }
 
     #[test]

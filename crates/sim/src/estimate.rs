@@ -10,17 +10,15 @@
 //!   budget to get per-point damage.
 //!
 //! The baseline and every sweep cell are independent and seeded from
-//! the master seed alone, so [`estimate_curves_with`] runs them as one
-//! grid on the worker pool and the estimate is bit-identical at any
+//! the master seed alone, so [`estimate_curves_prepared`] runs them as
+//! one grid on the worker pool and the estimate is bit-identical at any
 //! thread count.
 
 use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
 use crate::fig1::Fig1Results;
 use crate::jsonio::{self, Json};
-use crate::pipeline::{
-    attack_filter_train_eval, filter_train_eval, prepare, ExperimentConfig, Prepared,
-};
+use crate::pipeline::{filter_train_eval, run_cell, ExperimentConfig, Prepared};
 use poisongame_core::{CostCurve, EffectCurve, PoisonGame};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
@@ -142,59 +140,27 @@ pub fn cost_curve_from_fig1(fig1: &Fig1Results) -> Result<CostCurve, SimError> {
     Ok(CostCurve::from_samples(&samples)?)
 }
 
-/// Run the placement sweep and fit both curves on the default (fully
-/// parallel) execution policy.
-///
-/// `placements` are attack positions for the `E(p)` sweep;
-/// `strengths` are filter strengths for the `Γ(p)` sweep.
-///
-/// # Errors
-///
-/// Same conditions as [`estimate_curves_prepared`], plus preparation
-/// failures.
-pub fn estimate_curves(
-    config: &ExperimentConfig,
-    placements: &[f64],
-    strengths: &[f64],
-) -> Result<CurveEstimate, SimError> {
-    estimate_curves_with(config, placements, strengths, &ExecPolicy::default())
-}
-
-/// [`estimate_curves`] with an explicit execution policy.
-///
-/// Every cell seeds its attack RNG from the master seed alone, so the
-/// estimate is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`estimate_curves_prepared`], plus preparation
-/// failures.
-pub fn estimate_curves_with(
-    config: &ExperimentConfig,
-    placements: &[f64],
-    strengths: &[f64],
-    policy: &ExecPolicy,
-) -> Result<CurveEstimate, SimError> {
-    // Reject empty grids before paying for dataset preparation.
-    validate_grids(placements, strengths)?;
-    let prepared = prepare(config)?;
-    estimate_curves_prepared(&prepared, config, placements, strengths, policy)
-}
-
-fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError> {
+/// Reject an empty grid, then the first placement and then the first
+/// strength outside `[0, 1)`.
+pub(crate) fn validate_grids(placements: &[f64], strengths: &[f64]) -> Result<(), SimError> {
     if placements.is_empty() || strengths.is_empty() {
         return Err(SimError::BadParameter {
             what: "grids",
             value: 0.0,
         });
     }
-    Ok(())
-}
-
-/// Reject a grid value outside `[0, 1)`.
-fn validate_fraction(what: &'static str, value: f64) -> Result<(), SimError> {
-    if !(0.0..1.0).contains(&value) || value.is_nan() {
-        return Err(SimError::BadParameter { what, value });
+    let out_of_range = |v: f64| !(0.0..1.0).contains(&v) || v.is_nan();
+    if let Some(&value) = placements.iter().find(|&&p| out_of_range(p)) {
+        return Err(SimError::BadParameter {
+            what: "placement",
+            value,
+        });
+    }
+    if let Some(&value) = strengths.iter().find(|&&s| out_of_range(s)) {
+        return Err(SimError::BadParameter {
+            what: "strength",
+            value,
+        });
     }
     Ok(())
 }
@@ -211,15 +177,17 @@ enum Cell {
     Clean(f64),
 }
 
-/// [`estimate_curves_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// Run the placement sweep and fit both curves against an
+/// already-prepared dataset — the evaluate phase of
+/// [`crate::engine::EvalEngine::estimate_curves`].
 ///
-/// The baseline, one attacked cell per placement and one clean cell
-/// per strength run as one grid on `policy`; a strength of `+0.0`
-/// reuses the baseline, which is the same cell. Each cell validates its
-/// own grid value, so the error returned is the one a sequential run
-/// meets first: the baseline's, then the placements' in grid order,
-/// then the strengths'.
+/// `placements` are attack positions for the `E(p)` sweep;
+/// `strengths` are filter strengths for the `Γ(p)` sweep. The
+/// baseline, one attacked cell per placement and one clean cell per
+/// strength run as one grid on `policy`; a strength of `+0.0` reuses
+/// the baseline, which is the same cell. Every cell seeds its attack
+/// RNG from the master seed alone, so the estimate is bit-identical at
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -267,11 +235,11 @@ pub fn estimate_curves_prepared(
     let accuracies = try_parallel_map(policy, &cells, |_, &cell| match cell {
         Cell::Baseline => clean_accuracy(0.0),
         Cell::Attacked(p) => {
-            validate_fraction("placement", p)?;
             let mut rng =
                 Xoshiro256StarStar::seed_from_u64(config.seed ^ p.to_bits().rotate_left(29));
-            let attacked = attack_filter_train_eval(
+            let attacked = run_cell(
                 prepared,
+                &config.scenario,
                 p,
                 FilterStrength::RemoveFraction(0.0),
                 config,
@@ -279,10 +247,7 @@ pub fn estimate_curves_prepared(
             )?;
             Ok(attacked.accuracy)
         }
-        Cell::Clean(s) => {
-            validate_fraction("strength", s)?;
-            clean_accuracy(s)
-        }
+        Cell::Clean(s) => clean_accuracy(s),
     })?;
     let (baseline, rest) = accuracies.split_first().expect("baseline cell");
     let (attacked, run_clean) = rest.split_at(placements.len());
@@ -336,6 +301,7 @@ pub fn default_strengths() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalEngine;
     use crate::pipeline::DataSource;
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
@@ -359,7 +325,9 @@ mod tests {
 
     #[test]
     fn curves_have_expected_shape() {
-        let est = estimate_curves(&quick_config(), &[0.02, 0.15, 0.35], &[0.0, 0.1, 0.3]).unwrap();
+        let est = EvalEngine::new()
+            .estimate_curves(&quick_config(), &[0.02, 0.15, 0.35], &[0.0, 0.1, 0.3])
+            .unwrap();
         // Effect: boundary placement damages at least as much as deep.
         assert!(est.effect.eval(0.02) >= est.effect.eval(0.35));
         // Boundary placement on separable blobs must do real damage.
@@ -376,14 +344,18 @@ mod tests {
 
     #[test]
     fn game_assembles() {
-        let est = estimate_curves(&quick_config(), &[0.05, 0.2], &[0.0, 0.2]).unwrap();
+        let est = EvalEngine::new()
+            .estimate_curves(&quick_config(), &[0.05, 0.2], &[0.0, 0.2])
+            .unwrap();
         let game = est.game().unwrap();
         assert_eq!(game.n_points(), est.n_poison);
     }
 
     #[test]
     fn estimate_json_round_trips_exactly() {
-        let est = estimate_curves(&quick_config(), &[0.05, 0.2], &[0.0, 0.2]).unwrap();
+        let est = EvalEngine::new()
+            .estimate_curves(&quick_config(), &[0.05, 0.2], &[0.0, 0.2])
+            .unwrap();
         let wire = est.to_json_string();
         let back = CurveEstimate::from_json(&Json::parse(&wire).unwrap()).unwrap();
         // Refitting from the shipped samples reproduces the curves
@@ -403,9 +375,15 @@ mod tests {
 
     #[test]
     fn empty_grids_rejected() {
-        assert!(estimate_curves(&quick_config(), &[], &[0.1]).is_err());
-        assert!(estimate_curves(&quick_config(), &[0.1], &[]).is_err());
-        assert!(estimate_curves(&quick_config(), &[1.5], &[0.1]).is_err());
+        assert!(EvalEngine::new()
+            .estimate_curves(&quick_config(), &[], &[0.1])
+            .is_err());
+        assert!(EvalEngine::new()
+            .estimate_curves(&quick_config(), &[0.1], &[])
+            .is_err());
+        assert!(EvalEngine::new()
+            .estimate_curves(&quick_config(), &[1.5], &[0.1])
+            .is_err());
     }
 
     #[test]
@@ -414,7 +392,9 @@ mod tests {
             budget_fraction: 0.0,
             ..quick_config()
         };
-        let err = estimate_curves(&config, &[0.05], &[0.0]).unwrap_err();
+        let err = EvalEngine::new()
+            .estimate_curves(&config, &[0.05], &[0.0])
+            .unwrap_err();
         assert!(
             matches!(
                 err,

@@ -8,17 +8,11 @@
 
 use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
-use crate::pipeline::{
-    attack_filter_train_eval, filter_train_eval, filter_train_warm, hugging_placement, prepare,
-    run_cell_trained, ExperimentConfig, Prepared,
-};
+use crate::pipeline::{filter_train_eval, hugging_placement, run_cell, ExperimentConfig, Prepared};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
-use poisongame_ml::batch::batched_accuracy;
-use poisongame_ml::LinearState;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,38 +78,8 @@ impl Fig1Results {
     }
 }
 
-/// Run the Figure 1 sweep on the default (fully parallel) execution
-/// policy.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1(config: &ExperimentConfig, sweep: &Fig1Config) -> Result<Fig1Results, SimError> {
-    run_fig1_with(config, sweep, &ExecPolicy::default())
-}
-
-/// Run the Figure 1 sweep with an explicit execution policy.
-///
-/// Every sweep point derives its attack RNG from the master seed
-/// alone, so the results are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1_with(
-    config: &ExperimentConfig,
-    sweep: &Fig1Config,
-    policy: &ExecPolicy,
-) -> Result<Fig1Results, SimError> {
-    // Reject a bad grid before paying for dataset preparation.
-    validate_strengths(&sweep.strengths)?;
-    let prepared = prepare(config)?;
-    run_fig1_prepared(&prepared, config, sweep, policy)
-}
-
-fn validate_strengths(strengths: &[f64]) -> Result<(), SimError> {
+/// Reject an empty grid or a strength outside `[0, 1)`.
+pub(crate) fn validate_strengths(strengths: &[f64]) -> Result<(), SimError> {
     if strengths.is_empty() {
         return Err(SimError::BadParameter {
             what: "strengths",
@@ -139,8 +103,11 @@ fn point_rng(config: &ExperimentConfig, theta: f64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(config.seed ^ (theta.to_bits().rotate_left(17)))
 }
 
-/// [`run_fig1_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// Run the Figure 1 sweep against an already-prepared dataset — the
+/// evaluate phase of [`crate::engine::EvalEngine::run_fig1`].
+///
+/// Every sweep point derives its attack RNG from the master seed
+/// alone, so the results are bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -184,8 +151,9 @@ pub fn run_fig1_prepared(
             Fig1Cell::Attacked(theta) => {
                 let mut rng = point_rng(config, theta);
                 let placement = hugging_placement(prepared, theta, sweep.placement_slack);
-                let attacked = attack_filter_train_eval(
+                let attacked = run_cell(
                     prepared,
+                    &config.scenario,
                     placement,
                     FilterStrength::RemoveFraction(theta),
                     config,
@@ -234,111 +202,10 @@ enum Fig1Cell {
     Attacked(f64),
 }
 
-/// The warm-started Figure 1 sweep: cells run *sequentially* in sweep
-/// order and each cell's training continues from the neighbouring
-/// cell's fitted weights ([`poisongame_ml::Classifier::fit_from`]).
-/// An explicit opt-in (see
-/// [`crate::engine::EvalEngine::warm_start_sweep`]): results
-/// approximate, but do not bit-match, the cold sweep — golden paths
-/// never route through here.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty or out-of-range
-/// strength grid and propagates pipeline failures.
-pub fn run_fig1_warm(
-    prepared: &Prepared,
-    config: &ExperimentConfig,
-    sweep: &Fig1Config,
-) -> Result<Fig1Results, SimError> {
-    validate_strengths(&sweep.strengths)?;
-    let baseline = filter_train_eval(
-        prepared.train(),
-        &[],
-        prepared.test(),
-        FilterStrength::RemoveFraction(0.0),
-        config,
-    )?;
-
-    // Two chains: the attacked and clean series each continue from
-    // their own neighbour (mixing them would seed the clean model with
-    // poison-influenced weights). The chain only needs each cell's
-    // *state* to seed the next fit, so held-out evaluation is deferred
-    // and the whole sweep evaluates in one blocked multi-RHS pass.
-    let mut trained = Vec::with_capacity(sweep.strengths.len());
-    let mut warm_attacked: Option<LinearState> = None;
-    let mut warm_clean: Option<LinearState> = None;
-    for &theta in &sweep.strengths {
-        let mut rng = point_rng(config, theta);
-        let placement = hugging_placement(prepared, theta, sweep.placement_slack);
-        let attacked = run_cell_trained(
-            prepared,
-            &config.scenario,
-            placement,
-            FilterStrength::RemoveFraction(theta),
-            config,
-            &mut rng,
-            warm_attacked.as_ref(),
-        )?;
-        let clean = filter_train_warm(
-            prepared.train(),
-            &[],
-            prepared.test(),
-            FilterStrength::RemoveFraction(theta),
-            &config.scenario,
-            config,
-            warm_clean.as_ref(),
-        )?;
-        warm_attacked = attacked.state.clone();
-        warm_clean = clean.state.clone();
-        trained.push((theta, attacked, clean));
-    }
-
-    // One batched evaluation over every chained state (attacked then
-    // clean per sweep point) — bit-identical to per-cell evaluation.
-    let states: Vec<LinearState> = trained
-        .iter()
-        .flat_map(|(_, a, c)| [a.state.clone(), c.state.clone()])
-        .flatten()
-        .collect();
-    let started = Instant::now();
-    let batched = batched_accuracy(
-        prepared.test().features(),
-        prepared.test().labels(),
-        &states,
-    )?;
-    crate::timing::record_eval(started.elapsed());
-    let mut accuracies = batched.into_iter();
-    let rows = trained
-        .into_iter()
-        .map(|(theta, attacked, clean)| {
-            let accuracy_under_attack = match attacked.fallback_accuracy {
-                Some(acc) => acc,
-                None => accuracies.next().expect("one accuracy per stated cell"),
-            };
-            let accuracy_clean = match clean.fallback_accuracy {
-                Some(acc) => acc,
-                None => accuracies.next().expect("one accuracy per stated cell"),
-            };
-            Fig1Row {
-                removed_fraction: theta,
-                accuracy_under_attack,
-                accuracy_clean,
-                poison_recall: attacked.accounting.poison_recall(),
-            }
-        })
-        .collect();
-
-    Ok(Fig1Results {
-        rows,
-        baseline_accuracy: baseline.accuracy,
-        n_poison: prepared.n_poison,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalEngine;
     use crate::pipeline::DataSource;
     use crate::scenario::Scenario;
     use poisongame_core::SolverKind;
@@ -369,7 +236,9 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_strength() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         assert_eq!(r.rows.len(), 4);
         assert!(r.baseline_accuracy > 0.75);
         assert!(r.n_poison > 0);
@@ -377,7 +246,9 @@ mod tests {
 
     #[test]
     fn unfiltered_attack_is_worst_point() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         let at_zero = &r.rows[0];
         // With no filter the full budget survives: accuracy under
         // attack must be clearly below the clean baseline.
@@ -396,7 +267,9 @@ mod tests {
 
     #[test]
     fn clean_accuracy_degrades_with_filter_strength() {
-        let r = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let r = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         // "applying the filter reduces the accuracy of the ML model,
         // regardless of the presence of the attack" — allow small noise
         // but the strongest filter must cost accuracy vs no filter.
@@ -411,18 +284,22 @@ mod tests {
             strengths: vec![],
             placement_slack: 0.01,
         };
-        assert!(run_fig1(&quick_config(), &bad).is_err());
+        assert!(EvalEngine::new().run_fig1(&quick_config(), &bad).is_err());
         let bad = Fig1Config {
             strengths: vec![1.2],
             placement_slack: 0.01,
         };
-        assert!(run_fig1(&quick_config(), &bad).is_err());
+        assert!(EvalEngine::new().run_fig1(&quick_config(), &bad).is_err());
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_fig1(&quick_config(), &quick_sweep()).unwrap();
-        let b = run_fig1(&quick_config(), &quick_sweep()).unwrap();
+        let a = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
+        let b = EvalEngine::new()
+            .run_fig1(&quick_config(), &quick_sweep())
+            .unwrap();
         assert_eq!(a, b);
     }
 }

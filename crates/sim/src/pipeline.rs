@@ -853,51 +853,26 @@ pub fn filter_train_eval(
     strength: FilterStrength,
     config: &ExperimentConfig,
 ) -> Result<EvalOutcome, SimError> {
-    filter_train_eval_scenario(
+    filter_train(
         train,
         poison_indices,
         test,
         strength,
         &config.scenario,
         config,
-    )
-}
-
-/// [`filter_train_eval`] against an explicit scenario (matrix cells
-/// carry their own triple, independent of `config.scenario`).
-///
-/// # Errors
-///
-/// Propagates spec-building, filtering and training failures.
-pub fn filter_train_eval_scenario(
-    train: &dyn DataView,
-    poison_indices: &[usize],
-    test: &Dataset,
-    strength: FilterStrength,
-    scenario: &Scenario,
-    config: &ExperimentConfig,
-) -> Result<EvalOutcome, SimError> {
-    filter_train_eval_warm(
-        train,
-        poison_indices,
-        test,
-        strength,
-        scenario,
-        config,
-        None,
-    )
-    .map(|(outcome, _)| outcome)
+    )?
+    .into_outcome(test)
 }
 
 /// The filter → train product of one experiment cell, *before*
-/// held-out evaluation — what the engine's fused cross-cell evaluator
-/// collects from each cell so it can stack every cell's
-/// [`LinearState`] into one blocked multi-RHS margin computation.
+/// held-out evaluation — what the scenario matrix collects from each
+/// cell so it can stack every cell's [`LinearState`] into one blocked
+/// multi-RHS margin computation.
 ///
 /// All fields are plain data (`Send`), unlike the boxed model they
 /// came from, so trained cells cross the worker-pool boundary.
 #[derive(Debug, Clone)]
-pub struct TrainedCell {
+pub(crate) struct TrainedCell {
     /// Ground-truth poison/genuine accounting of the filter.
     pub accounting: FilterAccounting,
     /// Fraction of the (poisoned) training set the filter removed.
@@ -911,19 +886,15 @@ pub struct TrainedCell {
 }
 
 impl TrainedCell {
-    /// Evaluate this cell on `test` and assemble its [`EvalOutcome`]
-    /// plus the state warm-start sweeps chain on. The single-state
-    /// batched kernel accumulates each margin in the same order as the
-    /// historical per-point `accuracy_on`, so the result is
-    /// bit-identical.
+    /// Evaluate this cell on `test` and assemble its [`EvalOutcome`].
+    /// The single-state batched kernel accumulates each margin in the
+    /// same order as the per-point `accuracy_on`, so the result is
+    /// bit-identical to it.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches between the state and `test`.
-    pub fn into_outcome(
-        self,
-        test: &Dataset,
-    ) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
+    pub(crate) fn into_outcome(self, test: &Dataset) -> Result<EvalOutcome, SimError> {
         let accuracy = match (self.fallback_accuracy, self.state.as_ref()) {
             (Some(acc), _) => acc,
             (None, Some(state)) => {
@@ -934,50 +905,38 @@ impl TrainedCell {
                 crate::timing::record_eval(started.elapsed());
                 acc
             }
-            (None, None) => unreachable!("filter_train_warm sets fallback when state is absent"),
+            (None, None) => unreachable!("filter_train sets fallback when state is absent"),
         };
-        Ok((
-            EvalOutcome {
-                accuracy,
-                accounting: self.accounting,
-                removed_fraction: self.removed_fraction,
-            },
-            self.state,
-        ))
+        Ok(EvalOutcome {
+            accuracy,
+            accounting: self.accounting,
+            removed_fraction: self.removed_fraction,
+        })
     }
 }
 
 /// The single filter → train core every path funnels into, stopping
 /// short of held-out evaluation: callers either evaluate immediately
-/// ([`TrainedCell::into_outcome`], the per-cell path) or batch many
-/// cells' states into one blocked evaluation (the engine's fused
-/// path).
-///
-/// `warm` optionally seeds training from a neighbouring cell's
-/// [`LinearState`] (the engine's opt-in warm-start sweeps); `None` is
-/// the cold golden path, bit-identical to the historical pipeline.
+/// ([`TrainedCell::into_outcome`]) or batch many cells' states into
+/// one blocked evaluation (the scenario matrix).
 ///
 /// # Errors
 ///
 /// Propagates spec-building, filtering and training failures.
-pub fn filter_train_warm(
+fn filter_train(
     train: &dyn DataView,
     poison_indices: &[usize],
     test: &Dataset,
     strength: FilterStrength,
     scenario: &Scenario,
     config: &ExperimentConfig,
-    warm: Option<&LinearState>,
 ) -> Result<TrainedCell, SimError> {
     let filter = scenario.defense.build(strength, config.centroid)?;
     let outcome = filter.split(train)?;
     let kept = outcome.kept_dataset(train);
     let mut model = scenario.learner.build(config.train_config());
     let fit_started = Instant::now();
-    match warm {
-        Some(state) => model.fit_from(&kept, state)?,
-        None => model.fit(&kept)?,
-    }
+    model.fit(&kept)?;
     crate::timing::record_fit(fit_started.elapsed());
     let state = model.linear_state();
     let fallback_accuracy = if state.is_none() {
@@ -996,34 +955,6 @@ pub fn filter_train_warm(
     })
 }
 
-/// [`filter_train_warm`] plus immediate per-cell evaluation — the
-/// historical signature, bit-identical to the pre-`TrainedCell`
-/// pipeline.
-///
-/// # Errors
-///
-/// Propagates spec-building, filtering and training failures.
-pub fn filter_train_eval_warm(
-    train: &dyn DataView,
-    poison_indices: &[usize],
-    test: &Dataset,
-    strength: FilterStrength,
-    scenario: &Scenario,
-    config: &ExperimentConfig,
-    warm: Option<&LinearState>,
-) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
-    filter_train_warm(
-        train,
-        poison_indices,
-        test,
-        strength,
-        scenario,
-        config,
-        warm,
-    )?
-    .into_outcome(test)
-}
-
 /// The placement that "hugs" a strength-`theta` filter from inside,
 /// accounting for the attacker's own contamination: the rank-based
 /// global filter removes `θ·(n+m)` points of the poisoned training
@@ -1035,24 +966,6 @@ pub fn hugging_placement(prepared: &Prepared, theta: f64, slack: f64) -> f64 {
     let n = prepared.train().len() as f64;
     let m = prepared.n_poison as f64;
     (theta * (n + m) / n + slack).min(0.95)
-}
-
-/// Poison the clean training set with the configured attack at
-/// `placement` (removal-percentile axis), then filter/train/evaluate —
-/// dispatched through the scenario on `config` (the paper's boundary
-/// attack by default).
-///
-/// # Errors
-///
-/// Propagates attack, filtering and training failures.
-pub fn attack_filter_train_eval(
-    prepared: &Prepared,
-    placement: f64,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-    rng: &mut Xoshiro256StarStar,
-) -> Result<EvalOutcome, SimError> {
-    run_cell(prepared, &config.scenario, placement, strength, config, rng)
 }
 
 /// The single dispatch point every experiment cell goes through:
@@ -1075,59 +988,36 @@ pub fn run_cell(
     config: &ExperimentConfig,
     rng: &mut Xoshiro256StarStar,
 ) -> Result<EvalOutcome, SimError> {
-    run_cell_warm(prepared, scenario, placement, strength, config, rng, None)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`run_cell`] returning the fitted model's [`LinearState`] and
-/// optionally seeding training from a neighbouring cell's state — the
-/// engine's warm-start hook (`warm = None` is the golden path, bit
-/// for bit).
-///
-/// # Errors
-///
-/// Propagates spec-building, attack, filtering and training failures.
-pub fn run_cell_warm(
-    prepared: &Prepared,
-    scenario: &Scenario,
-    placement: f64,
-    strength: FilterStrength,
-    config: &ExperimentConfig,
-    rng: &mut Xoshiro256StarStar,
-    warm: Option<&LinearState>,
-) -> Result<(EvalOutcome, Option<LinearState>), SimError> {
-    run_cell_trained(prepared, scenario, placement, strength, config, rng, warm)?
+    run_cell_trained(prepared, scenario, placement, strength, config, rng)?
         .into_outcome(prepared.test())
 }
 
-/// [`run_cell_warm`] stopping short of held-out evaluation — the
-/// engine's fused cross-cell path collects these and evaluates every
-/// cell's state in one blocked multi-RHS operation.
+/// [`run_cell`] stopping short of held-out evaluation — the scenario
+/// matrix collects these and evaluates every cell's state in one
+/// blocked multi-RHS operation.
 ///
 /// # Errors
 ///
 /// Propagates spec-building, attack, filtering and training failures.
-pub fn run_cell_trained(
+pub(crate) fn run_cell_trained(
     prepared: &Prepared,
     scenario: &Scenario,
     placement: f64,
     strength: FilterStrength,
     config: &ExperimentConfig,
     rng: &mut Xoshiro256StarStar,
-    warm: Option<&LinearState>,
 ) -> Result<TrainedCell, SimError> {
     let attack = scenario.attack.build(placement, prepared.n_poison)?;
     let poison = attack.generate(prepared.train(), prepared.n_poison, rng)?;
     let poisoned = PoisonedView::new(prepared.train(), poison)?;
     let injected: Vec<usize> = poisoned.appended_indices().collect();
-    filter_train_warm(
+    filter_train(
         &poisoned,
         &injected,
         prepared.test(),
         strength,
         scenario,
         config,
-        warm,
     )
 }
 
@@ -1231,8 +1121,9 @@ mod tests {
             &config,
         )
         .unwrap();
-        let attacked = attack_filter_train_eval(
+        let attacked = run_cell(
             &p,
+            &config.scenario,
             0.02,
             FilterStrength::RemoveFraction(0.0),
             &config,
@@ -1255,8 +1146,9 @@ mod tests {
         // Attack right at the boundary; a 30 % filter removes far more
         // points than the poison budget plus genuine tail — the poison
         // dies and accuracy recovers most of the damage.
-        let unfiltered = attack_filter_train_eval(
+        let unfiltered = run_cell(
             &p,
+            &config.scenario,
             0.01,
             FilterStrength::RemoveFraction(0.0),
             &config,
@@ -1264,8 +1156,9 @@ mod tests {
         )
         .unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(13);
-        let filtered = attack_filter_train_eval(
+        let filtered = run_cell(
             &p,
+            &config.scenario,
             0.01,
             FilterStrength::RemoveFraction(0.30),
             &config,
@@ -1291,8 +1184,9 @@ mod tests {
         let p = prepare(&config).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
         // Attack deep (30th percentile), filter only removes 5 %.
-        let out = attack_filter_train_eval(
+        let out = run_cell(
             &p,
+            &config.scenario,
             0.30,
             FilterStrength::RemoveFraction(0.05),
             &config,

@@ -1,5 +1,5 @@
-//! Result rendering: ASCII tables (for terminals and EXPERIMENTS.md)
-//! and CSV (for plotting).
+//! Result rendering: ASCII tables (for terminals and reports) and CSV
+//! (for plotting).
 
 use crate::fig1::Fig1Results;
 use crate::scaling::ScalingResults;

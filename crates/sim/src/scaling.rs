@@ -48,39 +48,18 @@ impl ScalingResults {
     }
 }
 
-/// Solve Algorithm 1 for each support size and record quality + cost.
+/// Solve Algorithm 1 for each support size and record quality + cost
+/// — the core of [`crate::engine::EvalEngine::run_scaling`].
 ///
-/// Runs sequentially: this experiment's point is the per-cell
-/// `solve_micros` wall-clock, and concurrent cells would contend for
-/// cores and distort it. Use [`run_scaling_with`] to trade timing
-/// fidelity for throughput.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty size list and
-/// propagates solver failures.
-pub fn run_scaling(
-    curves: &CurveEstimate,
-    support_sizes: &[usize],
-) -> Result<ScalingResults, SimError> {
-    run_scaling_with(
-        curves,
-        support_sizes,
-        &Algorithm1Config::default(),
-        &ExecPolicy::sequential(),
-    )
-}
-
-/// [`run_scaling`] with an explicit Algorithm 1 template (its
-/// `n_radii` is overridden per cell — pass
-/// `ExperimentConfig::algorithm1_config(0)` to inherit an
-/// experiment's solver / warm-start knobs) and execution policy.
-/// Support sizes fan out across the worker pool; all fields except
-/// the wall-clock `solve_micros` are bit-identical at any thread
-/// count (timing is inherently nondeterministic, sequential or not —
-/// but under a parallel policy it additionally includes cross-cell
-/// CPU contention, so use [`ExecPolicy::sequential`] when the
-/// timings are the measurement).
+/// `base` is the Algorithm 1 template (its `n_radii` is overridden per
+/// cell — pass `ExperimentConfig::algorithm1_config(0)` to inherit an
+/// experiment's solver / warm-start knobs). Support sizes fan out
+/// across `policy`'s worker pool; all fields except the wall-clock
+/// `solve_micros` are bit-identical at any thread count (timing is
+/// inherently nondeterministic, sequential or not — but under a
+/// parallel policy it additionally includes cross-cell CPU
+/// contention, so use [`ExecPolicy::sequential`] when the timings are
+/// the measurement).
 ///
 /// # Errors
 ///
@@ -92,12 +71,7 @@ pub fn run_scaling_with(
     base: &Algorithm1Config,
     policy: &ExecPolicy,
 ) -> Result<ScalingResults, SimError> {
-    if support_sizes.is_empty() {
-        return Err(SimError::BadParameter {
-            what: "support_sizes",
-            value: 0.0,
-        });
-    }
+    crate::table1::validate_support_sizes(support_sizes)?;
     let game = curves.game()?;
     let rows = try_parallel_map(
         policy,
@@ -127,6 +101,19 @@ pub fn run_scaling_with(
 mod tests {
     use super::*;
     use poisongame_core::{CostCurve, EffectCurve};
+
+    /// Sequential, so each row's `solve_micros` is uncontended.
+    fn run_scaling(
+        curves: &CurveEstimate,
+        support_sizes: &[usize],
+    ) -> Result<ScalingResults, SimError> {
+        run_scaling_with(
+            curves,
+            support_sizes,
+            &Algorithm1Config::default(),
+            &ExecPolicy::sequential(),
+        )
+    }
 
     fn synthetic_estimate() -> CurveEstimate {
         let effect = EffectCurve::from_samples(&[

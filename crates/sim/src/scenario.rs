@@ -14,10 +14,10 @@
 //!   [`Default`] is the paper's triple, so every existing config and
 //!   experiment is unchanged until a scenario is opted into.
 //! * [`ScenarioBuilder`] — ergonomic construction.
-//! * [`ScenarioMatrix`] + [`run_matrix`] — the attack×defense×learner
-//!   cross-product, fanned out through the [`crate::exec`] worker pool
-//!   with per-cell derived seeds and collected into a long-format
-//!   result table (one row per cell).
+//! * [`ScenarioMatrix`] + [`crate::engine::EvalEngine::run_matrix`] —
+//!   the attack×defense×learner cross-product, fanned out through the
+//!   [`crate::exec`] worker pool with per-cell derived seeds and
+//!   collected into a long-format result table (one row per cell).
 //!
 //! Specs serialize to JSON through [`crate::jsonio`] (the `serde`
 //! dependency is an offline marker shim, so the wire format lives
@@ -43,8 +43,7 @@ use crate::error::SimError;
 use crate::exec::{try_parallel_map, ExecPolicy};
 use crate::jsonio::{self, Json};
 use crate::pipeline::{
-    filter_train_eval, hugging_placement, prepare, run_cell, run_cell_trained, EvalOutcome,
-    ExperimentConfig, Prepared,
+    filter_train_eval, hugging_placement, run_cell_trained, EvalOutcome, ExperimentConfig, Prepared,
 };
 use poisongame_attack::{
     AttackStrategy, BoundaryAttack, LabelFlipAttack, MixedRadiusAttack, RadiusSpec,
@@ -755,7 +754,7 @@ pub struct MatrixResults {
     /// Filter strength every cell used.
     pub strength: f64,
     /// Cache/throughput measurements when run through the engine
-    /// (`None` on the plain [`run_matrix`] path).
+    /// (`None` from [`run_matrix_prepared`]).
     pub engine: Option<EngineStats>,
 }
 
@@ -855,44 +854,8 @@ impl MatrixResults {
     }
 }
 
-/// Run a scenario matrix on the default (fully parallel) execution
-/// policy.
-///
-/// # Errors
-///
-/// Same conditions as [`run_matrix_with`].
-pub fn run_matrix(
-    config: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
-) -> Result<MatrixResults, SimError> {
-    run_matrix_with(config, matrix, &ExecPolicy::default())
-}
-
-/// Run every cell of the attack×defense×learner cross-product through
-/// the worker pool.
-///
-/// The dataset is prepared once; each cell derives its own RNG from
-/// the master seed and its grid index via SplitMix64, so results are
-/// bit-identical at any thread count and any single cell can be
-/// reproduced in isolation from `(config.seed, cell index)`.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] for an empty axis or an
-/// out-of-range strength, and propagates per-cell pipeline failures
-/// (lowest grid index first).
-pub fn run_matrix_with(
-    config: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
-    policy: &ExecPolicy,
-) -> Result<MatrixResults, SimError> {
-    // Reject a bad matrix before paying for dataset preparation.
-    validate_matrix(matrix)?;
-    let prepared = prepare(config)?;
-    run_matrix_prepared(&prepared, config, matrix, policy)
-}
-
-fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
+/// Reject an empty axis or a strength outside `[0, 1)`.
+pub(crate) fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
     if matrix.is_empty() {
         return Err(SimError::BadParameter {
             what: "matrix axes",
@@ -908,42 +871,29 @@ fn validate_matrix(matrix: &ScenarioMatrix) -> Result<(), SimError> {
     Ok(())
 }
 
-/// [`run_matrix_with`] against an already-prepared dataset — the
-/// evaluate phase of the engine's prepare → evaluate task graph.
+/// Run every cell of the attack×defense×learner cross-product against
+/// an already-prepared dataset — the evaluate phase of
+/// [`crate::engine::EvalEngine::run_matrix`].
+///
+/// Each cell derives its own RNG from the master seed and its grid
+/// index via SplitMix64, so any single cell can be reproduced in
+/// isolation from `(config.seed, cell index)`. The cells filter and
+/// train in the worker pool; their [`LinearState`]s are then stacked
+/// and evaluated against the shared test features in **one** blocked
+/// multi-RHS GEMM, which accumulates each cell's margins in the same
+/// order as [`crate::pipeline::run_cell`]. Results are bit-identical
+/// to `run_cell` of each cell and at any thread count.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_matrix_with`].
+/// Returns [`SimError::BadParameter`] for an empty axis or an
+/// out-of-range strength, and propagates per-cell pipeline failures
+/// (lowest grid index first).
 pub fn run_matrix_prepared(
     prepared: &Prepared,
     config: &ExperimentConfig,
     matrix: &ScenarioMatrix,
     policy: &ExecPolicy,
-) -> Result<MatrixResults, SimError> {
-    run_matrix_prepared_opts(prepared, config, matrix, policy, false)
-}
-
-/// [`run_matrix_prepared`] with the cross-cell evaluation knob
-/// exposed.
-///
-/// With `fused_eval = false` every cell evaluates its own model on the
-/// held-out split as it finishes — the historical path. With
-/// `fused_eval = true` the cells only filter + train in the worker
-/// pool; their [`LinearState`]s are then stacked and evaluated against
-/// the shared test features in **one** blocked multi-RHS GEMM. The
-/// batched kernel accumulates each cell's margins in the same order as
-/// the per-cell path, so the results are bit-identical either way —
-/// the knob only changes how the evaluation flops are scheduled.
-///
-/// # Errors
-///
-/// Same conditions as [`run_matrix_with`].
-pub fn run_matrix_prepared_opts(
-    prepared: &Prepared,
-    config: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
-    policy: &ExecPolicy,
-    fused_eval: bool,
 ) -> Result<MatrixResults, SimError> {
     validate_matrix(matrix)?;
 
@@ -963,75 +913,51 @@ pub fn run_matrix_prepared_opts(
     let mut mix = SplitMix64::new(config.seed ^ 0x5cea_a710); // "scenario"
     let cells: Vec<(Scenario, u64)> = scenarios.into_iter().map(|s| (s, mix.next())).collect();
 
-    let done = if fused_eval {
-        // Phase 1: filter + train every cell (no per-cell evaluation).
-        let trained = try_parallel_map(policy, &cells, |_, (scenario, cell_seed)| {
-            let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(*cell_seed);
-            run_cell_trained(
-                prepared,
+    // Phase 1: filter + train every cell (no per-cell evaluation).
+    let mut trained = try_parallel_map(policy, &cells, |_, (scenario, cell_seed)| {
+        let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(*cell_seed);
+        run_cell_trained(
+            prepared,
+            scenario,
+            placement,
+            FilterStrength::RemoveFraction(matrix.strength),
+            config,
+            &mut rng,
+        )
+    })?;
+    // Phase 2: one blocked multi-RHS evaluation over every cell's
+    // state. Cells without a linear state (none of the bundled
+    // learners) already carry their fallback accuracy.
+    let states: Vec<LinearState> = trained.iter_mut().filter_map(|t| t.state.take()).collect();
+    let started = Instant::now();
+    let batched = batched_accuracy(
+        prepared.test().features(),
+        prepared.test().labels(),
+        &states,
+    )?;
+    crate::timing::record_eval(started.elapsed());
+    let mut accuracies = batched.into_iter();
+    let done = cells
+        .into_iter()
+        .zip(trained)
+        .map(|((scenario, cell_seed), cell)| {
+            let accuracy = match cell.fallback_accuracy {
+                Some(acc) => acc,
+                None => accuracies
+                    .next()
+                    .expect("one batched accuracy per linear-state cell"),
+            };
+            MatrixCell {
                 scenario,
-                placement,
-                FilterStrength::RemoveFraction(matrix.strength),
-                config,
-                &mut rng,
-                None,
-            )
-        })?;
-        // Phase 2: one blocked multi-RHS evaluation over every cell's
-        // state. Cells without a linear state (none of the bundled
-        // learners) already carry their fallback accuracy.
-        let states: Vec<LinearState> = trained.iter().filter_map(|t| t.state.clone()).collect();
-        let started = Instant::now();
-        let batched = batched_accuracy(
-            prepared.test().features(),
-            prepared.test().labels(),
-            &states,
-        )?;
-        crate::timing::record_eval(started.elapsed());
-        let mut accuracies = batched.into_iter();
-        cells
-            .into_iter()
-            .zip(trained)
-            .map(|((scenario, cell_seed), cell)| {
-                let accuracy = match cell.fallback_accuracy {
-                    Some(acc) => acc,
-                    None => accuracies
-                        .next()
-                        .expect("one batched accuracy per linear-state cell"),
-                };
-                MatrixCell {
-                    scenario,
-                    cell_seed,
-                    outcome: EvalOutcome {
-                        accuracy,
-                        accounting: cell.accounting,
-                        removed_fraction: cell.removed_fraction,
-                    },
-                }
-            })
-            .collect()
-    } else {
-        try_parallel_map(
-            policy,
-            &cells,
-            |_, (scenario, cell_seed)| -> Result<MatrixCell, SimError> {
-                let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(*cell_seed);
-                let outcome = run_cell(
-                    prepared,
-                    scenario,
-                    placement,
-                    FilterStrength::RemoveFraction(matrix.strength),
-                    config,
-                    &mut rng,
-                )?;
-                Ok(MatrixCell {
-                    scenario: scenario.clone(),
-                    cell_seed: *cell_seed,
-                    outcome,
-                })
-            },
-        )?
-    };
+                cell_seed,
+                outcome: EvalOutcome {
+                    accuracy,
+                    accounting: cell.accounting,
+                    removed_fraction: cell.removed_fraction,
+                },
+            }
+        })
+        .collect();
 
     Ok(MatrixResults {
         cells: done,
@@ -1045,7 +971,8 @@ pub fn run_matrix_prepared_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::DataSource;
+    use crate::engine::EvalEngine;
+    use crate::pipeline::{prepare, run_cell, DataSource};
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -1179,12 +1106,16 @@ mod tests {
             strength: 0.15,
             placement_slack: 0.01,
         };
-        let sequential = run_matrix_with(&config, &matrix, &ExecPolicy::sequential()).unwrap();
+        let sequential = EvalEngine::with_policy(ExecPolicy::sequential())
+            .run_matrix(&config, &matrix)
+            .unwrap();
         assert_eq!(sequential.cells.len(), 4);
         for cell in &sequential.cells {
             assert!((0.0..=1.0).contains(&cell.outcome.accuracy));
         }
-        let parallel = run_matrix_with(&config, &matrix, &ExecPolicy::with_threads(4)).unwrap();
+        let parallel = EvalEngine::with_policy(ExecPolicy::with_threads(4))
+            .run_matrix(&config, &matrix)
+            .unwrap();
         assert_eq!(sequential, parallel);
         // Ranked view is a permutation of the cells, best first.
         let ranked = sequential.ranked();
@@ -1203,7 +1134,7 @@ mod tests {
             learners: vec![LearnerSpec::Svm],
             ..ScenarioMatrix::default()
         };
-        let mut results = run_matrix(&config, &matrix).unwrap();
+        let mut results = EvalEngine::new().run_matrix(&config, &matrix).unwrap();
         results.engine = Some(EngineStats {
             prep_hits: 1,
             prep_misses: 2,
@@ -1234,11 +1165,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_cross_cell_eval_is_byte_identical() {
-        // The fused path reschedules the evaluation flops (one blocked
-        // multi-RHS GEMM instead of per-cell loops); the serialized
-        // results must not change by a single byte, across every
-        // bundled learner.
+    fn every_matrix_cell_equals_run_cell_of_its_seed() {
+        // The matrix evaluates every cell's state in one blocked
+        // multi-RHS GEMM; each cell must still be exactly what the
+        // per-cell dispatch point computes from the same cell seed,
+        // across every bundled learner.
         let config = quick_config();
         let matrix = ScenarioMatrix {
             attacks: vec![AttackSpec::Boundary, AttackSpec::LabelFlip],
@@ -1252,12 +1183,34 @@ mod tests {
             placement_slack: 0.01,
         };
         let prepared = prepare(&config).unwrap();
-        let plain =
+        let results =
             run_matrix_prepared(&prepared, &config, &matrix, &ExecPolicy::default()).unwrap();
-        let fused =
-            run_matrix_prepared_opts(&prepared, &config, &matrix, &ExecPolicy::default(), true)
-                .unwrap();
-        assert_eq!(plain.to_json_string(), fused.to_json_string());
+        assert_eq!(results.cells.len(), 6);
+        let placement = hugging_placement(&prepared, matrix.strength, matrix.placement_slack);
+        for cell in &results.cells {
+            let mut rng = poisongame_linalg::Xoshiro256StarStar::seed_from_u64(cell.cell_seed);
+            let alone = run_cell(
+                &prepared,
+                &cell.scenario,
+                placement,
+                FilterStrength::RemoveFraction(matrix.strength),
+                &config,
+                &mut rng,
+            )
+            .unwrap();
+            assert_eq!(
+                alone.to_json().render(),
+                cell.outcome.to_json().render(),
+                "{}",
+                cell.scenario.label()
+            );
+            assert_eq!(
+                alone.accuracy.to_bits(),
+                cell.outcome.accuracy.to_bits(),
+                "{}",
+                cell.scenario.label()
+            );
+        }
     }
 
     #[test]
@@ -1268,11 +1221,11 @@ mod tests {
             ..ScenarioMatrix::default()
         };
         assert!(empty.is_empty());
-        assert!(run_matrix(&config, &empty).is_err());
+        assert!(EvalEngine::new().run_matrix(&config, &empty).is_err());
         let bad = ScenarioMatrix {
             strength: 1.5,
             ..ScenarioMatrix::default()
         };
-        assert!(run_matrix(&config, &bad).is_err());
+        assert!(EvalEngine::new().run_matrix(&config, &bad).is_err());
     }
 }

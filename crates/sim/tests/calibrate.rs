@@ -44,8 +44,9 @@ fn probe() {
     println!();
     for placement in [0.01, 0.03, 0.06, 0.10, 0.20, 0.30, 0.40, 0.48] {
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-        let a = attack_filter_train_eval(
+        let a = run_cell(
             &p,
+            &config.scenario,
             placement,
             FilterStrength::RemoveFraction(0.0),
             &config,
@@ -59,8 +60,9 @@ fn probe() {
     for theta in [0.02, 0.05, 0.10, 0.20, 0.30, 0.40] {
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         let hug = hugging_placement(&p, theta, 0.01);
-        let a = attack_filter_train_eval(
+        let a = run_cell(
             &p,
+            &config.scenario,
             hug,
             FilterStrength::RemoveFraction(theta),
             &config,

@@ -10,16 +10,13 @@ use poisongame_data::ContentHash;
 use poisongame_defense::CentroidEstimator;
 use poisongame_sim::engine::EvalEngine;
 use poisongame_sim::error::SimError;
-use poisongame_sim::estimate::{
-    default_placements, default_strengths, estimate_curves, estimate_curves_with, CurveEstimate,
-};
+use poisongame_sim::estimate::{default_placements, default_strengths, CurveEstimate};
 use poisongame_sim::exec::ExecPolicy;
-use poisongame_sim::fig1::{run_fig1_with, Fig1Config};
+use poisongame_sim::fig1::{run_fig1_prepared, Fig1Config};
 use poisongame_sim::monte_carlo::simulate_repeated_game_parallel;
-use poisongame_sim::pipeline::{DataSource, ExperimentConfig};
+use poisongame_sim::pipeline::{prepare, DataSource, ExperimentConfig};
 use poisongame_sim::report::{fig1_csv, fig1_table, matrix_csv, table1_table};
-use poisongame_sim::scenario::{run_matrix_with, Scenario, ScenarioMatrix};
-use poisongame_sim::table1::run_table1_with;
+use poisongame_sim::scenario::{run_matrix_prepared, Scenario, ScenarioMatrix};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -48,7 +45,8 @@ fn fig1_reports_are_byte_identical_across_thread_counts() {
     let reports: Vec<(String, String)> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let r = run_fig1_with(&config, &sweep, &ExecPolicy::with_threads(threads))
+            let r = EvalEngine::with_policy(ExecPolicy::with_threads(threads))
+                .run_fig1(&config, &sweep)
                 .expect("sweep runs");
             (fig1_csv(&r), fig1_table(&r))
         })
@@ -70,18 +68,15 @@ fn fig1_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn table1_reports_are_byte_identical_across_thread_counts() {
     let config = tiny_config();
-    let curves = estimate_curves(&config, &[0.02, 0.20], &[0.0, 0.15]).expect("curves estimate");
+    let curves = EvalEngine::new()
+        .estimate_curves(&config, &[0.02, 0.20], &[0.0, 0.15])
+        .expect("curves estimate");
     let reports: Vec<String> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let t = run_table1_with(
-                &config,
-                &curves,
-                &[2],
-                0.8,
-                &ExecPolicy::with_threads(threads),
-            )
-            .expect("table1 runs");
+            let t = EvalEngine::with_policy(ExecPolicy::with_threads(threads))
+                .run_table1(&config, &curves, &[2], 0.8)
+                .expect("table1 runs");
             table1_table(&t)
         })
         .collect();
@@ -119,9 +114,11 @@ fn cached_engine_is_byte_identical_to_cold_evaluation() {
         placement_slack: 0.01,
     };
 
-    // Cold references (no engine, fresh preparation per call).
-    let cold_matrix = run_matrix_with(&config, &matrix, &ExecPolicy::sequential()).unwrap();
-    let cold_fig1 = run_fig1_with(&config, &sweep, &ExecPolicy::sequential()).unwrap();
+    // Cold references (no engine, an uncached sequential preparation).
+    let prepared = prepare(&config).unwrap();
+    let sequential = ExecPolicy::sequential();
+    let cold_matrix = run_matrix_prepared(&prepared, &config, &matrix, &sequential).unwrap();
+    let cold_fig1 = run_fig1_prepared(&prepared, &config, &sweep, &sequential).unwrap();
 
     for &threads in &THREAD_COUNTS {
         let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
@@ -249,13 +246,9 @@ fn estimate_digest(est: &CurveEstimate) -> u64 {
 fn estimate_is_bit_identical_across_thread_counts() {
     let config = tiny_config();
     for &threads in &THREAD_COUNTS {
-        let est = estimate_curves_with(
-            &config,
-            &default_placements(),
-            &default_strengths(),
-            &ExecPolicy::with_threads(threads),
-        )
-        .expect("estimate runs");
+        let est = EvalEngine::with_policy(ExecPolicy::with_threads(threads))
+            .estimate_curves(&config, &default_placements(), &default_strengths())
+            .expect("estimate runs");
         assert_eq!(
             estimate_digest(&est),
             0x7a6e_2651_e116_c013,
@@ -270,7 +263,8 @@ fn estimate_is_bit_identical_across_thread_counts() {
 fn estimate_reports_the_first_bad_grid_value() {
     let config = tiny_config();
     for policy in [ExecPolicy::sequential(), ExecPolicy::with_threads(8)] {
-        let err = estimate_curves_with(&config, &[0.05, 1.5], &[0.0, -0.1], &policy)
+        let err = EvalEngine::with_policy(policy)
+            .estimate_curves(&config, &[0.05, 1.5], &[0.0, -0.1])
             .expect_err("bad grids rejected");
         assert!(
             matches!(
@@ -324,13 +318,17 @@ fn fig1_table1_digest(
 #[test]
 fn fig1_and_table1_bits_are_pinned() {
     let config = tiny_config();
-    let curves = estimate_curves(&config, &[0.02, 0.1, 0.25], &[0.0, 0.05, 0.15, 0.3])
+    let curves = EvalEngine::new()
+        .estimate_curves(&config, &[0.02, 0.1, 0.25], &[0.0, 0.05, 0.15, 0.3])
         .expect("curves estimate");
     for &threads in &[1, 8] {
-        let policy = ExecPolicy::with_threads(threads);
-        let fig1 = run_fig1_with(&config, &Fig1Config::default(), &policy).expect("fig1 runs");
-        let table1 =
-            run_table1_with(&config, &curves, &[2, 3, 4], 0.8, &policy).expect("table1 runs");
+        let engine = EvalEngine::with_policy(ExecPolicy::with_threads(threads));
+        let fig1 = engine
+            .run_fig1(&config, &Fig1Config::default())
+            .expect("fig1 runs");
+        let table1 = engine
+            .run_table1(&config, &curves, &[2, 3, 4], 0.8)
+            .expect("table1 runs");
         let digest = fig1_table1_digest(&fig1, &table1);
         assert_eq!(
             digest, 0xebe9_0f74_4ad3_2914,

@@ -12,8 +12,8 @@ use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_ml::svm::LinearSvm;
 use poisongame_ml::Classifier;
 use poisongame_sim::pipeline::{
-    attack_filter_train_eval, filter_train_eval, hugging_placement, prepare, run_cell, DataSource,
-    EvalOutcome, ExperimentConfig, Prepared,
+    filter_train_eval, hugging_placement, prepare, run_cell, DataSource, EvalOutcome,
+    ExperimentConfig, Prepared,
 };
 use poisongame_sim::scenario::Scenario;
 use rand::SeedableRng;
@@ -106,8 +106,15 @@ fn default_scenario_attack_path_matches_hardcoded_pipeline() {
         let strength = FilterStrength::RemoveFraction(theta);
 
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let new = attack_filter_train_eval(&prepared, placement, strength, &config, &mut rng)
-            .expect("dispatch path runs");
+        let new = run_cell(
+            &prepared,
+            &config.scenario,
+            placement,
+            strength,
+            &config,
+            &mut rng,
+        )
+        .expect("dispatch path runs");
 
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let old = old_attack_filter_train_eval(&prepared, placement, strength, &config, &mut rng);

@@ -9,9 +9,10 @@
 //! cargo run --release --example fig1_pure_sweep -- --full  # paper scale
 //! ```
 
-use poisongame::sim::fig1::{run_fig1, Fig1Config};
+use poisongame::sim::fig1::Fig1Config;
 use poisongame::sim::pipeline::ExperimentConfig;
 use poisongame::sim::report::{fig1_csv, fig1_table};
+use poisongame::sim::EvalEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running Figure 1 sweep ({} scale)...",
         if full { "paper" } else { "quick" }
     );
-    let results = run_fig1(&config, &Fig1Config::default())?;
+    let results = EvalEngine::new().run_fig1(&config, &Fig1Config::default())?;
     println!("{}", fig1_table(&results));
     let best = results.best_pure();
     println!(

@@ -10,8 +10,9 @@
 
 use poisongame::core::ne::diagnose;
 use poisongame::core::{Algorithm1, Algorithm1Config};
-use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
+use poisongame::sim::estimate::{default_placements, default_strengths};
 use poisongame::sim::pipeline::ExperimentConfig;
+use poisongame::sim::EvalEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's protocol at reduced scale so this runs in seconds;
@@ -21,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("dataset: synthetic Spambase stand-in, budget 20%, SVM victim\n");
 
     println!("estimating E(p) and Γ(p) from attack/filter sweeps...");
-    let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+    let curves =
+        EvalEngine::new().estimate_curves(&config, &default_placements(), &default_strengths())?;
     println!(
         "  baseline accuracy (no attack, no filter): {:.4}",
         curves.baseline_accuracy

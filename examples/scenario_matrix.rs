@@ -12,11 +12,10 @@
 //! cargo run --release --example scenario_matrix -- minibatch  # batched kernels
 //! ```
 //!
-//! `minibatch` switches every fit to the blocked minibatch kernel and
-//! turns on fused cross-cell evaluation — the throughput shape from
-//! PR 6. Accuracies differ in low-order bits from the row-SGD grid
-//! (the fit path is different math); the fused eval alone is
-//! bit-identical.
+//! `minibatch` switches every fit to the blocked minibatch kernel.
+//! Accuracies differ in low-order bits from the row-SGD grid (the fit
+//! path is different math). Either way every cell's model is evaluated
+//! in one batched pass, bit-identical to evaluating each on its own.
 
 use poisongame::sim::engine::EvalEngine;
 use poisongame::sim::pipeline::{DataSource, ExperimentConfig};
@@ -76,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One engine drives every run: the dataset is prepared once per
     // distinct (source, seed, test_fraction) key — not once per run,
     // let alone once per cell — and later runs share the cached Arc.
-    let engine = EvalEngine::new().fused_eval(minibatch);
+    let engine = EvalEngine::new();
     let results = engine.run_matrix(&config, &matrix)?;
     println!("{}", matrix_table(&results));
 

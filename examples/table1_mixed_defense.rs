@@ -14,11 +14,11 @@
 
 use poisongame::core::paper::{paper_game, PAPER_BASELINE_ACCURACY};
 use poisongame::core::{Algorithm1, DefenderMixedStrategy};
-use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
-use poisongame::sim::fig1::{run_fig1, Fig1Config};
+use poisongame::sim::estimate::{default_placements, default_strengths};
+use poisongame::sim::fig1::Fig1Config;
 use poisongame::sim::pipeline::ExperimentConfig;
 use poisongame::sim::report::table1_table;
-use poisongame::sim::table1::run_table1;
+use poisongame::sim::EvalEngine;
 
 /// Part 1 — the faithful model-level reproduction: Algorithm 1 on
 /// curves inverted from the paper's own published Table 1 numbers.
@@ -66,22 +66,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ExperimentConfig::paper().quick()
     };
 
+    // One engine: the three stages share one dataset preparation.
+    let engine = EvalEngine::new();
     eprintln!("running Figure 1 sweep for the pure-strategy baseline...");
-    let fig1 = run_fig1(&config, &Fig1Config::default())?;
+    let fig1 = engine.run_fig1(&config, &Fig1Config::default())?;
     let best_pure = fig1.best_pure().accuracy_under_attack;
 
     eprintln!("estimating E(p) / Γ(p)...");
-    let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+    let curves = engine.estimate_curves(&config, &default_placements(), &default_strengths())?;
 
     eprintln!("running Algorithm 1 for n = 2, 3 and evaluating empirically...");
-    let table1 = run_table1(&config, &curves, &[2, 3], best_pure)?;
+    let table1 = engine.run_table1(&config, &curves, &[2, 3], best_pure)?;
     println!("{}", table1_table(&table1));
 
     for row in &table1.rows {
         let verdict = if row.empirical_accuracy >= table1.best_pure_accuracy {
             "≥ best pure — matches the paper's claim"
         } else {
-            "below best pure — see EXPERIMENTS.md discussion"
+            "below best pure — compare the paper-calibrated table above (core::paper)"
         };
         println!(
             "n = {}: mixed {:.4} vs best pure {:.4}  [{verdict}]",

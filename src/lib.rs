@@ -30,12 +30,13 @@
 //!
 //! ```no_run
 //! use poisongame::core::{Algorithm1, Algorithm1Config};
-//! use poisongame::sim::estimate::{default_placements, default_strengths, estimate_curves};
-//! use poisongame::sim::pipeline::ExperimentConfig;
+//! use poisongame::sim::estimate::{default_placements, default_strengths};
+//! use poisongame::sim::{EvalEngine, ExperimentConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let engine = EvalEngine::new();
 //! let config = ExperimentConfig::paper().quick();
-//! let curves = estimate_curves(&config, &default_placements(), &default_strengths())?;
+//! let curves = engine.estimate_curves(&config, &default_placements(), &default_strengths())?;
 //! let game = curves.game()?;
 //! let defense = Algorithm1::new(Algorithm1Config { n_radii: 3, ..Default::default() })
 //!     .solve(&game)?;
@@ -44,8 +45,11 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable end-to-end reproductions and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See `examples/` for runnable end-to-end reproductions. The paper's
+//! own numbers live in [`core::paper`]; ours are pinned by digest
+//! tests (`fig1_and_table1_bits_are_pinned` in
+//! `crates/sim/tests/determinism.rs`, `crates/attack/tests/golden.rs`,
+//! `crates/core/tests/hedge_golden.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
