@@ -181,6 +181,11 @@ for key in digest_match io_counters rows_per_sec; do
     exit 1
   fi
 done
+# The same digest identity through a single participant: one chunk in
+# flight, and a chunk size that does not divide the row count.
+echo "==> cargo run --release --example ingest -- --chunk-rows 7 --inflight 1"
+./target/release/examples/ingest --scales 1 --rows 600 --chunk-rows 7 --inflight 1 \
+  || { rm -rf "$INGEST_DIR"; exit 1; }
 
 # Ingestion smoke, part 2: a file-source scenario served end to end —
 # serve boots with --data-dir, the gateway fronts it, and load_test

@@ -388,7 +388,7 @@ impl<K: Eq + Hash, V> PrepCache<K, V> {
 /// Incremental FNV-1a content hasher for building cache keys out of
 /// heterogeneous fields (enum tags, integers, float bit patterns, raw
 /// text). Stable across platforms and runs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentHash(u64);
 
 impl Default for ContentHash {
@@ -413,6 +413,21 @@ impl ContentHash {
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
         self
+    }
+
+    /// Fold `bytes` up to and including the first `stop` byte, in one
+    /// loop that both hashes and searches. Returns the hash and how
+    /// many bytes it folded: through `stop`, or all of `bytes` when
+    /// `stop` is absent.
+    pub fn bytes_through(mut self, bytes: &[u8], stop: u8) -> (Self, usize) {
+        for (i, &b) in bytes.iter().enumerate() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+            if b == stop {
+                return (self, i + 1);
+            }
+        }
+        (self, bytes.len())
     }
 
     /// Fold a `u64` (little-endian bytes) into the hash.
@@ -679,5 +694,19 @@ mod tests {
             base,
             ContentHash::new().str("blobs").u64(7).f64(0.30001).finish()
         );
+    }
+
+    #[test]
+    fn bytes_through_stops_after_the_stop_byte() {
+        let text = b"1,2,1\n3,4,0\n";
+        let (hash, n) = ContentHash::new().bytes_through(text, b'\n');
+        assert_eq!(n, 6);
+        assert_eq!(hash, ContentHash::new().bytes(&text[..6]));
+        let (rest, m) = hash.bytes_through(&text[6..], b'\n');
+        assert_eq!(m, 6);
+        assert_eq!(rest, ContentHash::new().bytes(text));
+        // No stop byte: everything is folded.
+        let (all, k) = ContentHash::new().bytes_through(b"abc", b'\n');
+        assert_eq!((all, k), (ContentHash::new().bytes(b"abc"), 3));
     }
 }

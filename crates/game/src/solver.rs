@@ -41,8 +41,14 @@ use crate::strategy::Solution;
 use serde::{Deserialize, Serialize};
 
 /// Largest action count for which [`SolverKind::Auto`] still picks the
-/// exact LP. Beyond this the tableau work grows cubically and the
-/// iterative solvers win.
+/// exact LP; beyond it `Auto` takes multiplicative weights.
+///
+/// The cut suits dense random games, where the LP's pivot count grows
+/// fast: on a 2-core host a 300 × 300 one took 2.4 s against 0.87 s
+/// for MW. It is not where the LP starts to lose on the paper's own
+/// games. Their discretized resolution-150 games (152 × 151) took the
+/// LP 151 pivots and 2.3–5.3 ms to solve exactly, against 238–329 ms
+/// for MW's approximate solve.
 pub const AUTO_EXACT_LIMIT: usize = 128;
 
 /// A zero-sum matrix-game solver: solve a [`MatrixGame`] into a

@@ -6,7 +6,11 @@
 //! run over datasets far larger than memory. The reader folds every
 //! raw byte it consumes into an FNV-1a [`ContentHash`] as a side
 //! effect, so one streaming pass yields both the parsed rows *and* the
-//! checksum a [`crate::FileSource`] validates against.
+//! checksum a [`crate::FileSource`] validates against. A
+//! [`scan_checkpoints`] pass also records a [`Checkpoint`] at every
+//! chunk boundary, from which [`ChunkReader::resume`] reads any chunk
+//! on its own — the parallel second pass of an out-of-core
+//! preparation.
 //!
 //! This is the workspace's one CSV parser. Blank lines and `#`
 //! comments are skipped, fields are trimmed, and the last field is the
@@ -84,6 +88,38 @@ pub struct ScanSummary {
     pub checksum: u64,
 }
 
+/// A reader's position between two chunks: everything a
+/// [`ChunkReader::resume`] needs to carry on from there as if it had
+/// read the source from the start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Raw bytes consumed before this point.
+    pub offset: u64,
+    /// Physical lines consumed before this point.
+    pub line: usize,
+    /// Data rows consumed before this point (the global index of the
+    /// next row).
+    pub row: usize,
+    /// The running FNV-1a state over the first `offset` bytes.
+    pub hash: ContentHash,
+}
+
+/// What a checkpointed scan records besides its [`ScanSummary`]: one
+/// [`Checkpoint`] at the start of every chunk, so a second pass can
+/// read and parse the chunks independently.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checkpoints {
+    /// Data rows per chunk (the last chunk may hold fewer).
+    pub chunk_rows: usize,
+    /// The start of each chunk, in source order; empty for a source
+    /// without data rows.
+    pub starts: Vec<Checkpoint>,
+    /// Feature columns of the first data row (its field count less
+    /// the label) — the width a width-inferring format pins for every
+    /// chunk. `None` for a source without data rows.
+    pub first_width: Option<usize>,
+}
+
 /// FNV-1a checksum of a byte slice — the value to pin in a file
 /// source's `checksum` field (and what [`ScanSummary::checksum`]
 /// reports after a full pass).
@@ -92,6 +128,10 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// A streaming chunked reader over Spambase-layout CSV.
+///
+/// Each physical line is hashed and its end found in one loop over the
+/// source's buffered bytes; a line is only copied when it straddles two
+/// buffer fills.
 ///
 /// # Example
 ///
@@ -114,6 +154,18 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
 pub struct ChunkReader<R> {
     reader: R,
     chunk_rows: usize,
+    /// A partial line that straddles two buffer fills.
+    spill: Vec<u8>,
+    /// Bytes to reserve for the next chunk's text.
+    text_reserve: usize,
+    at: Cursor,
+}
+
+/// Everything a [`ChunkReader`] knows about the lines behind it, kept
+/// apart from the source so a line borrowed from the source's buffer
+/// can be accounted without a copy.
+#[derive(Debug)]
+struct Cursor {
     limits: IngestLimits,
     /// Physical lines consumed so far (1-based numbering flows from
     /// this).
@@ -122,9 +174,70 @@ pub struct ChunkReader<R> {
     row: usize,
     bytes: u64,
     hash: ContentHash,
+    first_width: Option<usize>,
     /// Bytes consumed since the last telemetry flush.
     unreported_bytes: u64,
     done: bool,
+}
+
+impl Cursor {
+    /// Account for one physical line — through its `\n` when
+    /// terminated — whose bytes the hash already covers, appending it
+    /// to `chunk` when it is a data row.
+    fn take_line(
+        &mut self,
+        raw: &[u8],
+        chunk: &mut RawChunk,
+        collect: bool,
+    ) -> Result<(), IngestError> {
+        self.line += 1;
+        self.bytes += raw.len() as u64;
+        self.unreported_bytes += raw.len() as u64;
+        let (content, terminated) = match raw.split_last() {
+            // CRLF sources are accepted: the carriage return is line
+            // framing, not row content (it still counts toward the
+            // checksum, which covers raw bytes).
+            Some((&b'\n', stripped)) => (stripped.strip_suffix(b"\r").unwrap_or(stripped), true),
+            _ => (raw, false),
+        };
+        if content.len() > self.limits.max_line_bytes {
+            self.done = true;
+            return Err(IngestError::LineTooLong {
+                line: self.line,
+                bytes: content.len(),
+                cap: self.limits.max_line_bytes,
+            });
+        }
+        // The cap check runs on raw bytes first: a bounded read may
+        // stop mid-UTF-8-sequence on an over-cap line, and that must
+        // report LineTooLong, not a spurious encoding error.
+        let content = std::str::from_utf8(content)
+            .map_err(|_| IngestError::Read("stream did not contain valid UTF-8".to_string()))?;
+        let trimmed = content.trim();
+        let is_data = !(trimmed.is_empty() || trimmed.starts_with('#'));
+        if !terminated {
+            // Last line of the source. A trailing comment or stray
+            // whitespace is fine; a data row without its newline means
+            // the source was cut mid-record.
+            self.done = true;
+            return if is_data {
+                Err(IngestError::UnterminatedRow { line: self.line })
+            } else {
+                Ok(())
+            };
+        }
+        if is_data {
+            self.first_width
+                .get_or_insert_with(|| trimmed.bytes().filter(|&b| b == b',').count());
+            self.row += 1;
+            chunk.line_numbers.push(self.line);
+            if collect {
+                chunk.text.push_str(trimmed);
+                chunk.text.push('\n');
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<R: BufRead> ChunkReader<R> {
@@ -134,19 +247,48 @@ impl<R: BufRead> ChunkReader<R> {
     ///
     /// Returns [`IngestError::ZeroChunkRows`] for `chunk_rows == 0`.
     pub fn new(reader: R, chunk_rows: usize, limits: IngestLimits) -> Result<Self, IngestError> {
+        let start = Checkpoint {
+            offset: 0,
+            line: 0,
+            row: 0,
+            hash: ContentHash::new(),
+        };
+        Self::resume(reader, chunk_rows, limits, start)
+    }
+
+    /// A reader that carries on from `from`: `reader` must yield the
+    /// source's bytes from `from.offset` on. Line numbers, row indices
+    /// and the running checksum continue from the checkpoint, so the
+    /// chunks and [`ChunkReader::summary`] equal those of a reader that
+    /// started at the beginning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IngestError::ZeroChunkRows`] for `chunk_rows == 0`.
+    pub fn resume(
+        reader: R,
+        chunk_rows: usize,
+        limits: IngestLimits,
+        from: Checkpoint,
+    ) -> Result<Self, IngestError> {
         if chunk_rows == 0 {
             return Err(IngestError::ZeroChunkRows);
         }
         Ok(Self {
             reader,
             chunk_rows,
-            limits,
-            line: 0,
-            row: 0,
-            bytes: 0,
-            hash: ContentHash::new(),
-            unreported_bytes: 0,
-            done: false,
+            spill: Vec::new(),
+            text_reserve: 0,
+            at: Cursor {
+                limits,
+                line: from.line,
+                row: from.row,
+                bytes: from.offset,
+                hash: from.hash,
+                first_width: None,
+                unreported_bytes: 0,
+                done: false,
+            },
         })
     }
 
@@ -172,119 +314,73 @@ impl<R: BufRead> ChunkReader<R> {
         Ok(self.advance(false)?.map(|chunk| chunk.rows()))
     }
 
-    /// Read one physical line (through its `\n`) into `buf`, buffering
-    /// at most `max_line_bytes + 3` bytes — content, CRLF framing, and
-    /// one byte proving the cap is exceeded. An over-cap line stops
-    /// being read mid-stream, so a corrupt newline-less source can
-    /// never make the reader materialize it; the caller's cap check
-    /// fires on the truncated buffer (which lacks a `\n` and is
-    /// already longer than the cap). Returns bytes consumed, 0 at EOF.
-    fn read_line_bounded(&mut self, buf: &mut Vec<u8>) -> Result<usize, IngestError> {
-        // Cap plus CRLF: a line whose *content* is exactly at the cap
-        // still fits with its framing and must not trip the bound.
-        let stop = self.limits.max_line_bytes.saturating_add(2);
-        let mut total = 0usize;
-        loop {
-            let available = self
-                .reader
-                .fill_buf()
-                .map_err(|e| IngestError::Read(e.to_string()))?;
-            if available.is_empty() {
-                return Ok(total);
-            }
-            if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-                buf.extend_from_slice(&available[..=pos]);
-                self.reader.consume(pos + 1);
-                return Ok(total + pos + 1);
-            }
-            let room = stop.saturating_add(1).saturating_sub(buf.len());
-            let take = available.len().min(room);
-            buf.extend_from_slice(&available[..take]);
-            self.reader.consume(take);
-            total += take;
-            if buf.len() > stop {
-                return Ok(total);
-            }
-        }
+    /// Reserve room for `bytes` bytes of row text in the next chunk.
+    /// A chunk's text never exceeds the raw bytes its lines span, so a
+    /// caller that knows that span — pass 2 of a checkpointed scan does
+    /// — saves the text's regrowth and holds one buffer of exactly that
+    /// size.
+    pub fn reserve_text(&mut self, bytes: usize) {
+        self.text_reserve = bytes;
     }
 
     fn advance(&mut self, collect: bool) -> Result<Option<RawChunk>, IngestError> {
-        if self.done {
-            self.flush_bytes();
-            return Ok(None);
-        }
         let mut chunk = RawChunk {
-            text: String::new(),
+            text: String::with_capacity(std::mem::take(&mut self.text_reserve)),
             line_numbers: Vec::new(),
-            first_row: self.row,
+            first_row: self.at.row,
         };
-        let mut buf: Vec<u8> = Vec::new();
-        while chunk.rows() < self.chunk_rows {
-            buf.clear();
-            let n = self.read_line_bounded(&mut buf)?;
-            if n == 0 {
-                self.done = true;
+        // A line holds at most the cap plus CRLF framing; one byte
+        // more proves the cap is exceeded. An over-cap line stops being
+        // read there, so a corrupt newline-less source can never make
+        // the reader buffer it.
+        let stop = self.at.limits.max_line_bytes.saturating_add(2);
+        while chunk.rows() < self.chunk_rows && !self.at.done {
+            let buffered = self
+                .reader
+                .fill_buf()
+                .map_err(|e| IngestError::Read(e.to_string()))?;
+            if buffered.is_empty() {
+                // End of input; a spilled line is the unterminated
+                // last line.
+                self.at.done = true;
+                if !self.spill.is_empty() {
+                    let taken = self.at.take_line(&self.spill, &mut chunk, collect);
+                    self.spill.clear();
+                    taken?;
+                }
                 break;
             }
-            self.line += 1;
-            self.bytes += n as u64;
-            self.unreported_bytes += n as u64;
-            self.hash = self.hash.bytes(&buf);
-            let (content, terminated) = match buf.split_last() {
-                // CRLF sources are accepted: the carriage return is
-                // line framing, not row content (it still counts
-                // toward the checksum, which covers raw bytes).
-                Some((&b'\n', stripped)) => {
-                    (stripped.strip_suffix(b"\r").unwrap_or(stripped), true)
+            let room = stop.saturating_add(1).saturating_sub(self.spill.len());
+            let window = &buffered[..buffered.len().min(room)];
+            let (hash, n) = self.at.hash.bytes_through(window, b'\n');
+            self.at.hash = hash;
+            let terminated = window[n - 1] == b'\n';
+            let taken = if terminated && self.spill.is_empty() {
+                // The whole line sits in the buffer: no copy.
+                self.at.take_line(&buffered[..n], &mut chunk, collect)
+            } else {
+                self.spill.extend_from_slice(&window[..n]);
+                if terminated || self.spill.len() > stop {
+                    let taken = self.at.take_line(&self.spill, &mut chunk, collect);
+                    self.spill.clear();
+                    taken
+                } else {
+                    Ok(())
                 }
-                _ => (buf.as_slice(), false),
             };
-            if content.len() > self.limits.max_line_bytes {
-                self.done = true;
-                return Err(IngestError::LineTooLong {
-                    line: self.line,
-                    bytes: content.len(),
-                    cap: self.limits.max_line_bytes,
-                });
-            }
-            // The cap check runs on raw bytes first: a bounded read may
-            // stop mid-UTF-8-sequence on an over-cap line, and that
-            // must report LineTooLong, not a spurious encoding error.
-            let content = std::str::from_utf8(content)
-                .map_err(|_| IngestError::Read("stream did not contain valid UTF-8".to_string()))?;
-            let trimmed = content.trim();
-            let is_data = !(trimmed.is_empty() || trimmed.starts_with('#'));
-            if !terminated {
-                // Last line of the source. A trailing comment or
-                // stray whitespace is fine; a data row without its
-                // newline means the source was cut mid-record.
-                self.done = true;
-                if is_data {
-                    return Err(IngestError::UnterminatedRow { line: self.line });
-                }
-                break;
-            }
-            if is_data {
-                self.row += 1;
-                chunk.line_numbers.push(self.line);
-                if collect {
-                    chunk.text.push_str(trimmed);
-                    chunk.text.push('\n');
-                }
-            }
-        }
-        if chunk.rows() == 0 {
-            self.flush_bytes();
-            return Ok(None);
+            self.reader.consume(n);
+            taken?;
         }
         self.flush_bytes();
-        Ok(Some(chunk))
+        Ok((chunk.rows() > 0).then_some(chunk))
     }
 
     fn flush_bytes(&mut self) {
-        if self.unreported_bytes > 0 {
-            crate::telemetry::metrics().bytes.add(self.unreported_bytes);
-            self.unreported_bytes = 0;
+        if self.at.unreported_bytes > 0 {
+            crate::telemetry::metrics()
+                .bytes
+                .add(self.at.unreported_bytes);
+            self.at.unreported_bytes = 0;
         }
     }
 
@@ -292,9 +388,20 @@ impl<R: BufRead> ChunkReader<R> {
     /// drained this is the full-pass summary.
     pub fn summary(&self) -> ScanSummary {
         ScanSummary {
-            rows: self.row,
-            bytes: self.bytes,
-            checksum: self.hash.finish(),
+            rows: self.at.row,
+            bytes: self.at.bytes,
+            checksum: self.at.hash.finish(),
+        }
+    }
+
+    /// The reader's position: between chunks, a point a
+    /// [`ChunkReader::resume`] can carry on from.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            offset: self.at.bytes,
+            line: self.at.line,
+            row: self.at.row,
+            hash: self.at.hash,
         }
     }
 }
@@ -308,9 +415,57 @@ impl<R: BufRead> ChunkReader<R> {
 ///
 /// Same as [`ChunkReader::next_chunk`].
 pub fn scan<R: BufRead>(reader: R, limits: &IngestLimits) -> Result<ScanSummary, IngestError> {
-    let mut chunks = ChunkReader::new(reader, DEFAULT_CHUNK_ROWS, limits.clone())?;
-    while chunks.skim_chunk()?.is_some() {}
-    Ok(chunks.summary())
+    scan_checkpoints(reader, DEFAULT_CHUNK_ROWS, limits).map(|(summary, _)| summary)
+}
+
+/// [`scan`], recording a [`Checkpoint`] at the start of every
+/// `chunk_rows`-row chunk and the first data row's width, so pass 2
+/// can read its chunks independently of each other.
+///
+/// # Errors
+///
+/// [`IngestError::ZeroChunkRows`] for `chunk_rows == 0`, plus the
+/// errors of [`ChunkReader::next_chunk`].
+///
+/// # Example
+///
+/// ```
+/// use poisongame_io::{scan_checkpoints, ChunkReader, IngestLimits};
+///
+/// let text = "1,2,1\n# note\n3,4,0\n5,6,1\n";
+/// let limits = IngestLimits::default();
+/// let (summary, points) = scan_checkpoints(text.as_bytes(), 2, &limits).unwrap();
+/// assert_eq!(summary.rows, 3);
+/// assert_eq!(points.first_width, Some(2));
+/// // Resume at the second chunk from its own slice of the source.
+/// let second = points.starts[1];
+/// let rest = &text.as_bytes()[second.offset as usize..];
+/// let mut reader = ChunkReader::resume(rest, 2, limits, second).unwrap();
+/// let chunk = reader.next_chunk().unwrap().unwrap();
+/// assert_eq!((chunk.first_row, chunk.line_numbers.clone()), (2, vec![4]));
+/// assert!(reader.next_chunk().unwrap().is_none());
+/// assert_eq!(reader.summary(), summary);
+/// ```
+pub fn scan_checkpoints<R: BufRead>(
+    reader: R,
+    chunk_rows: usize,
+    limits: &IngestLimits,
+) -> Result<(ScanSummary, Checkpoints), IngestError> {
+    let mut chunks = ChunkReader::new(reader, chunk_rows, limits.clone())?;
+    let mut starts = Vec::new();
+    loop {
+        let start = chunks.checkpoint();
+        if chunks.skim_chunk()?.is_none() {
+            break;
+        }
+        starts.push(start);
+    }
+    let points = Checkpoints {
+        chunk_rows,
+        starts,
+        first_width: chunks.at.first_width,
+    };
+    Ok((chunks.summary(), points))
 }
 
 /// The parsed form of one [`RawChunk`]: a row-major feature block plus
@@ -371,7 +526,11 @@ pub fn parse_chunk(
 ) -> Result<ParsedChunk, IngestError> {
     let started = std::time::Instant::now();
     let mut cols = expected_cols;
-    let mut features: Vec<f64> = Vec::new();
+    // A pinned width sizes the block exactly (each row briefly holds
+    // its label slot too). Every value takes at least two bytes of
+    // text, which bounds the reservation by the chunk itself.
+    let exact = expected_cols.map_or(0, |c| chunk.rows().saturating_mul(c).saturating_add(1));
+    let mut features: Vec<f64> = Vec::with_capacity(exact.min(chunk.text.len() / 2 + 1));
     let mut labels: Vec<Label> = Vec::with_capacity(chunk.rows());
     for (i, row) in chunk.text.lines().enumerate() {
         let line = chunk.line_numbers[i];
@@ -395,7 +554,7 @@ pub fn parse_chunk(
         if fields < 2 {
             return Err(IngestError::BadArity {
                 line,
-                expected: cols.map_or(2, |c| c + 1),
+                expected: cols.map_or(2, |c| c + 1).max(2),
                 found: fields,
             });
         }
@@ -542,6 +701,101 @@ mod tests {
         assert!(matches!(
             ChunkReader::new("1,2,1\n".as_bytes(), 0, IngestLimits::default()).unwrap_err(),
             IngestError::ZeroChunkRows
+        ));
+    }
+
+    /// Every chunk and the summary of a plain read, for comparison.
+    fn drain<R: BufRead>(reader: R, chunk_rows: usize) -> (Vec<RawChunk>, ScanSummary) {
+        let mut reader = ChunkReader::new(reader, chunk_rows, IngestLimits::default()).unwrap();
+        let mut chunks = Vec::new();
+        while let Some(chunk) = reader.next_chunk().unwrap() {
+            chunks.push(chunk);
+        }
+        (chunks, reader.summary())
+    }
+
+    #[test]
+    fn resumed_chunks_equal_a_straight_read() {
+        let text = "# head\r\n1,2,1\r\n\n3,4,0\n  5 , 6 ,1  \n# mid\n7,8,0\n9,10,1\n# tail\n";
+        let limits = IngestLimits::default();
+        for chunk_rows in 1..=6 {
+            let (straight, summary) = drain(text.as_bytes(), chunk_rows);
+            let (scanned, points) = scan_checkpoints(text.as_bytes(), chunk_rows, &limits).unwrap();
+            assert_eq!(scanned, summary);
+            assert_eq!(points.chunk_rows, chunk_rows);
+            assert_eq!(points.first_width, Some(2));
+            assert_eq!(
+                points.starts.len(),
+                straight.len(),
+                "chunk_rows {chunk_rows}"
+            );
+            for (i, start) in points.starts.iter().enumerate() {
+                let rest = &text.as_bytes()[start.offset as usize..];
+                let mut reader =
+                    ChunkReader::resume(rest, chunk_rows, limits.clone(), *start).unwrap();
+                // A text reservation changes nothing read.
+                reader.reserve_text(rest.len());
+                assert_eq!(reader.next_chunk().unwrap().as_ref(), Some(&straight[i]));
+                match points.starts.get(i + 1) {
+                    Some(next) => assert_eq!(reader.checkpoint(), *next),
+                    None => {
+                        assert!(reader.next_chunk().unwrap().is_none());
+                        assert_eq!(reader.summary(), summary);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lines_straddling_buffer_fills_read_the_same() {
+        // Tiny buffers split every line across fills, so each one goes
+        // through the spill copy instead of being borrowed in place.
+        let text = "0.5,1.5,1\r\n# comment\n\n2.5,3.5,0\n4.5,5.5,1\n# no newline";
+        let whole = drain(text.as_bytes(), 2);
+        assert_eq!(whole.1.checksum, checksum_bytes(text.as_bytes()));
+        for capacity in 1..=12 {
+            let buffered = std::io::BufReader::with_capacity(capacity, text.as_bytes());
+            assert_eq!(drain(buffered, 2), whole, "capacity {capacity}");
+        }
+        // The cap holds across fills too.
+        let limits = IngestLimits { max_line_bytes: 4 };
+        for capacity in 1..=12 {
+            let buffered = std::io::BufReader::with_capacity(capacity, "1,2,1\n".as_bytes());
+            assert!(matches!(
+                scan(buffered, &limits).unwrap_err(),
+                IngestError::LineTooLong {
+                    line: 1,
+                    cap: 4,
+                    ..
+                }
+            ));
+        }
+    }
+
+    #[test]
+    fn first_width_comes_from_the_first_data_row() {
+        let limits = IngestLimits::default();
+        let text = "# 9,9,9,9\n\n1,2,3,1\n4,5,0\n";
+        let (_, points) = scan_checkpoints(text.as_bytes(), 1, &limits).unwrap();
+        assert_eq!(points.first_width, Some(3));
+        let (summary, points) = scan_checkpoints("# only\n".as_bytes(), 1, &limits).unwrap();
+        assert_eq!((summary.rows, points.first_width), (0, None));
+        assert!(points.starts.is_empty());
+        // A one-field first row pins width 0, which still reports the
+        // two-field minimum.
+        let chunk = RawChunk {
+            text: "7\n".to_string(),
+            line_numbers: vec![3],
+            first_row: 0,
+        };
+        assert!(matches!(
+            parse_chunk(&chunk, Some(0)).unwrap_err(),
+            IngestError::BadArity {
+                line: 3,
+                expected: 2,
+                found: 1
+            }
         ));
     }
 }

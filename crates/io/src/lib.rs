@@ -8,7 +8,7 @@
 //!
 //! | Module | What it holds |
 //! |---|---|
-//! | [`chunk`] | [`ChunkReader`], [`parse_chunk`], [`scan`], limits |
+//! | [`chunk`] | [`ChunkReader`], [`parse_chunk`], [`scan`], [`scan_checkpoints`], limits |
 //! | [`source`] | [`FileSource`], the [`Format`] registry |
 //! | [`error`] | [`IngestError`] — one variant per conformance failure |
 //! | [`telemetry`] | `io_*` counters/histograms and the `checksum_mismatch` event |
@@ -22,8 +22,8 @@ pub mod source;
 pub mod telemetry;
 
 pub use chunk::{
-    checksum_bytes, parse_chunk, scan, ChunkReader, IngestLimits, ParsedChunk, RawChunk,
-    ScanSummary, DEFAULT_CHUNK_ROWS, DEFAULT_MAX_LINE_BYTES,
+    checksum_bytes, parse_chunk, scan, scan_checkpoints, Checkpoint, Checkpoints, ChunkReader,
+    IngestLimits, ParsedChunk, RawChunk, ScanSummary, DEFAULT_CHUNK_ROWS, DEFAULT_MAX_LINE_BYTES,
 };
 pub use error::IngestError;
 pub use source::{lookup_format, FileSource, Format, FORMATS, GENERIC_CSV, SPAMBASE};

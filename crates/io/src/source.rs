@@ -6,11 +6,15 @@
 //! synthetic generator and CI stays green offline. The registered
 //! [`Format`] describes its schema.
 
-use crate::chunk::{scan, IngestLimits, ScanSummary};
+use crate::chunk::{scan_checkpoints, Checkpoints, IngestLimits, ScanSummary, DEFAULT_CHUNK_ROWS};
 use crate::error::IngestError;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+
+/// Read buffer for file sources: a few hundred Spambase rows per
+/// system call.
+const READ_BUFFER: usize = 64 << 10;
 
 /// A registered source schema: the feature width the strict reader
 /// pins, and the synthetic-fallback size for absent files.
@@ -120,20 +124,66 @@ impl FileSource {
 
     /// One structural pass over the file: row count, byte count and
     /// checksum — validated against the pinned value. `Ok(None)`
-    /// means the file is absent (fallback). This is pass 1 of an
-    /// out-of-core preparation.
+    /// means the file is absent (fallback).
     ///
     /// # Errors
     ///
     /// [`IngestError::ChecksumMismatch`] (also published to
-    /// telemetry), plus the structural errors of [`scan`].
+    /// telemetry), plus the structural errors of [`crate::scan`].
     pub fn scan_verified(&self, limits: &IngestLimits) -> Result<Option<ScanSummary>, IngestError> {
-        let Some(reader) = self.open()? else {
+        Ok(self
+            .scan_checkpoints(DEFAULT_CHUNK_ROWS, limits)?
+            .map(|(summary, _)| summary))
+    }
+
+    /// [`FileSource::scan_verified`], recording a checkpoint at every
+    /// `chunk_rows`-row chunk (see [`scan_checkpoints`]). This is pass
+    /// 1 of an out-of-core preparation; pass 2 reads each chunk
+    /// through [`FileSource::open_at`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FileSource::scan_verified`], plus
+    /// [`IngestError::ZeroChunkRows`].
+    pub fn scan_checkpoints(
+        &self,
+        chunk_rows: usize,
+        limits: &IngestLimits,
+    ) -> Result<Option<(ScanSummary, Checkpoints)>, IngestError> {
+        let Some(file) = self.open()? else {
             return Ok(None);
         };
-        let summary = scan(BufReader::new(reader), limits)?;
-        self.verify(summary.checksum)?;
-        Ok(Some(summary))
+        let scanned = scan_checkpoints(
+            BufReader::with_capacity(READ_BUFFER, file),
+            chunk_rows,
+            limits,
+        )?;
+        self.verify(scanned.0.checksum)?;
+        Ok(Some(scanned))
+    }
+
+    /// The file's bytes from `offset` on, buffered in at most
+    /// `capacity` bytes (a chunk's own length keeps a small chunk from
+    /// reading far past its end). `Ok(None)` if the file is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IngestError::Read`] when the file exists but cannot
+    /// be opened or positioned.
+    pub fn open_at(
+        &self,
+        offset: u64,
+        capacity: usize,
+    ) -> Result<Option<BufReader<File>>, IngestError> {
+        let Some(mut file) = self.open()? else {
+            return Ok(None);
+        };
+        file.seek(SeekFrom::Start(offset))
+            .map_err(|e| IngestError::Read(format!("{}: {e}", self.path.display())))?;
+        Ok(Some(BufReader::with_capacity(
+            capacity.clamp(1, READ_BUFFER),
+            file,
+        )))
     }
 
     /// Check an observed content hash against the pinned checksum,
@@ -182,6 +232,7 @@ mod tests {
             .scan_verified(&IngestLimits::default())
             .unwrap()
             .is_none());
+        assert!(source.open_at(4, 16).unwrap().is_none());
     }
 
     #[test]
@@ -206,6 +257,20 @@ mod tests {
             bad.scan_verified(&IngestLimits::default()).unwrap_err(),
             IngestError::ChecksumMismatch { .. }
         ));
+
+        // Pass 2 opens each chunk at its own checkpoint.
+        let (scanned, points) = source
+            .scan_checkpoints(1, &IngestLimits::default())
+            .unwrap()
+            .unwrap();
+        assert_eq!(scanned, summary);
+        let second = points.starts[1];
+        let reader = source.open_at(second.offset, 6).unwrap().unwrap();
+        let mut chunks =
+            crate::ChunkReader::resume(reader, 1, IngestLimits::default(), second).unwrap();
+        assert_eq!(chunks.next_chunk().unwrap().unwrap().line_numbers, vec![2]);
+        assert!(chunks.next_chunk().unwrap().is_none());
+        assert_eq!(chunks.summary(), summary);
 
         let unpinned = FileSource::new(&path, None, GENERIC_CSV);
         assert!(unpinned

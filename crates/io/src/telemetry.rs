@@ -18,8 +18,10 @@ pub const IO_BYTES_FAMILY: &str = "poisongame_io_bytes_total";
 pub const IO_CHUNKS_FAMILY: &str = "poisongame_io_chunks_total";
 /// Per-chunk parse latency in nanoseconds.
 pub const IO_PARSE_FAMILY: &str = "poisongame_io_parse_nanos";
-/// Chunks currently admitted to the out-of-core pipeline (the
-/// backpressure gauge — never exceeds `max_inflight_chunks`).
+/// Chunks currently being read and parsed, summed over every
+/// preparation in the process. One preparation holds at most
+/// `max_inflight_chunks` of them (fewer on a smaller worker pool), so
+/// concurrent preparations together can exceed that bound.
 pub const IO_INFLIGHT_FAMILY: &str = "poisongame_io_inflight_chunks";
 /// File sources whose content failed checksum validation.
 pub const IO_CHECKSUM_MISMATCH_FAMILY: &str = "poisongame_io_checksum_mismatch_total";
@@ -40,7 +42,8 @@ pub struct IoMetrics {
     pub chunks: Arc<Counter>,
     /// Per-chunk parse latency.
     pub parse_nanos: Arc<Histogram>,
-    /// In-flight out-of-core chunks.
+    /// Chunks being read and parsed right now (see
+    /// [`IO_INFLIGHT_FAMILY`]).
     pub inflight: Arc<Gauge>,
     /// Checksum validation failures.
     pub checksum_mismatch: Arc<Counter>,
@@ -73,7 +76,7 @@ pub fn metrics() -> &'static IoMetrics {
             ),
             inflight: registry.gauge(
                 IO_INFLIGHT_FAMILY,
-                "Chunks currently admitted to the out-of-core pipeline",
+                "Chunks currently being read and parsed",
                 &[],
             ),
             checksum_mismatch: registry.counter(
@@ -96,6 +99,23 @@ pub fn record_chunk(rows: u64, elapsed: Duration) {
     m.rows.add(rows);
     m.chunks.inc();
     m.parse_nanos.record_duration(elapsed);
+}
+
+/// Count one chunk in the in-flight gauge until the returned guard
+/// drops — on error and panic paths too.
+pub fn admit_chunk() -> AdmittedChunk {
+    metrics().inflight.add(1);
+    AdmittedChunk(())
+}
+
+/// One chunk counted in the in-flight gauge (see [`admit_chunk`]).
+#[must_use = "the chunk leaves the in-flight gauge when this drops"]
+pub struct AdmittedChunk(());
+
+impl Drop for AdmittedChunk {
+    fn drop(&mut self) {
+        metrics().inflight.add(-1);
+    }
 }
 
 /// Record an absent-file fallback to the synthetic generator.

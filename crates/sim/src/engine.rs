@@ -154,8 +154,9 @@ impl PrepKey {
                 .f64(*sigma),
             DataSource::CsvText { text } => h.str("csv_text").str(text),
             // `chunk_rows` / `max_inflight_chunks` are execution
-            // knobs, not content: they only size the chunks and waves
-            // of the one streaming preparation, and every value gives
+            // knobs, not content: they only size the segments of the
+            // one streaming preparation and cap how many run at once,
+            // and every value gives
             // bit-identical results (pinned by `tests/ingest.rs`), so
             // they share a key.
             DataSource::File {

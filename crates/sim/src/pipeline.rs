@@ -64,14 +64,15 @@ pub enum DataSource {
         checksum: Option<u64>,
         /// Registered format name (`"spambase"`, `"csv"`).
         format: String,
-        /// Rows per parsed chunk (default
+        /// Rows per checkpointed segment (default
         /// `poisongame_io::DEFAULT_CHUNK_ROWS`). Only sizes the
-        /// chunks: every value gives bit-identical results.
+        /// segments: every value gives bit-identical results.
         chunk_rows: Option<usize>,
-        /// Bound on chunks in the parse fan-out at once — the
-        /// out-of-core memory budget in units of `chunk_rows` rows
-        /// (default [`crate::ingest::DEFAULT_MAX_INFLIGHT_CHUNKS`]).
-        /// Like `chunk_rows`, it never changes the result.
+        /// Cap on segments read and parsed at once — the out-of-core
+        /// memory budget in units of `chunk_rows` rows (default
+        /// [`crate::ingest::DEFAULT_MAX_INFLIGHT_CHUNKS`], never more
+        /// than the worker pool has threads). Like `chunk_rows`, it
+        /// never changes the result.
         max_inflight_chunks: Option<usize>,
     },
 }

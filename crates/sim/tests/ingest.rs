@@ -166,8 +166,8 @@ fn csv_text_errors_are_structured_ingest_errors() {
 
 #[test]
 fn huge_inflight_bound_from_the_wire_is_harmless() {
-    // The wave used to preallocate `max_inflight_chunks` slots, so
-    // this wire value aborted the process on allocation.
+    // A wire-supplied bound sizes nothing: it is clamped to the pool,
+    // so it costs no more than the default.
     let (path, _) = write_dataset("inflight", 40);
     let json = format!(
         r#"{{"source":{{"type":"file","path":"{}","chunk_rows":8,"max_inflight_chunks":1000000000000000}}}}"#,
@@ -273,6 +273,65 @@ fn ragged_arity_change_at_chunk_boundary_is_bad_arity() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn chunk_settings_never_change_the_reported_error() {
+    // Lines 1-4 hold 2 features, lines 5-8 hold 3, line 9 a bad float.
+    // Each 4-row chunk is consistent on its own, so only the first
+    // row's width, pinned for every chunk, makes line 5 the error. The
+    // first error in file order must win whatever the settings.
+    let dir = temp_dir("first-error");
+    let path = dir.join("ragged.csv");
+    let mut text = String::new();
+    for i in 0..4 {
+        text.push_str(&format!("{i},{i},{}\n", i % 2));
+    }
+    for i in 0..4 {
+        text.push_str(&format!("{i},{i},{i},{}\n", i % 2));
+    }
+    text.push_str("oops,1.0,1\n");
+    std::fs::write(&path, &text).unwrap();
+    for chunk_rows in [1, 2, 3, 4, 5, 100] {
+        for max_inflight_chunks in [1, 2, 4, 1_000_000] {
+            let source = DataSource::File {
+                path: path.display().to_string(),
+                checksum: None,
+                format: "csv".to_string(),
+                chunk_rows: Some(chunk_rows),
+                max_inflight_chunks: Some(max_inflight_chunks),
+            };
+            assert_eq!(
+                prepare_data(&source, 3, 0.3).unwrap_err(),
+                SimError::Ingest(IngestError::BadArity {
+                    line: 5,
+                    expected: 3,
+                    found: 4
+                }),
+                "chunk_rows {chunk_rows}, max_inflight_chunks {max_inflight_chunks}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn wide_first_row_cannot_size_the_output_past_the_source() {
+    // A first row 100k features wide and 400k narrow rows after it
+    // would ask for ~320 GB of output at the first row's width. The
+    // narrow rows cannot fill that, so nothing is allocated and the
+    // first narrow row is the error.
+    let mut text = vec!["1"; 100_001].join(",");
+    text.push('\n');
+    text.push_str(&"1,0\n".repeat(400_000));
+    assert_eq!(
+        prepare_data(&DataSource::CsvText { text }, 5, 0.3).unwrap_err(),
+        SimError::Ingest(IngestError::BadArity {
+            line: 2,
+            expected: 100_001,
+            found: 2
+        })
+    );
 }
 
 #[test]

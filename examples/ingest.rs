@@ -90,8 +90,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(out)
 }
 
-/// A file source; `chunking` of `None` takes the default chunk and
-/// wave sizes.
+/// A file source; `chunking` of `None` takes the default segment size
+/// and in-flight cap.
 fn file_source(path: &Path, checksum: u64, chunking: Option<(usize, usize)>) -> DataSource {
     DataSource::File {
         path: path.display().to_string(),
