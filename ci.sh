@@ -241,10 +241,11 @@ rm -rf "$INGEST_DIR"
 rm -f "$SERVE_PORT_FILE" "$GW_PORT_FILE"
 
 # Online-play smoke: short-horizon repeated game on the discretized
-# paper game plus the empirical engine-backed mode. The example
+# paper game plus the empirical mode through the engine. The example
 # asserts regret shrinks, the averaged value lands within 1e-2 of the
-# static NE, and payoff queries hit the prep cache — a regression in
-# any of those fails the gate.
+# static NE, and a second run on the same engine hits the prep cache
+# with 0 misses and a byte-identical trace — a regression in any of
+# those fails the gate.
 echo "==> cargo run --release --example online_play"
 cargo run --release --example online_play
 

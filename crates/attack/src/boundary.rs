@@ -20,10 +20,9 @@ use crate::AttackStrategy;
 use poisongame_data::{Dataset, Label};
 use poisongame_linalg::rng::standard_normal;
 use poisongame_linalg::{stats, vector, Xoshiro256StarStar};
-use serde::{Deserialize, Serialize};
 
 /// How the placement radius is specified.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RadiusSpec {
     /// As a *removal percentile* `p ∈ [0, 1)`: the radius below which a
     /// filter removing fraction `p` of the class would just keep the
@@ -108,7 +107,7 @@ impl RadiusSpec {
 /// a percentile placement then lands at the intended rank of the
 /// defender's own distance ordering. The mean variant exists for
 /// ablating a less-informed attacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CentroidKind {
     /// Coordinate-wise median (matches the default defense).
     CoordinateMedian,
@@ -171,7 +170,7 @@ pub fn class_centroid(
 }
 
 /// Which point set anchors the placement radius.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnchorScope {
     /// One centroid over the whole training set — matches the paper's
     /// game model and the defense's default global sphere. The default.
@@ -186,7 +185,7 @@ pub enum AnchorScope {
 /// Opposite-label drags on a symmetric dataset cancel each other, so
 /// the optimal attack concentrates on one class; `Alternate` is kept
 /// for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetClass {
     /// All poison claims the positive class (pushes the boundary into
     /// negative territory) — the default.
@@ -197,16 +196,18 @@ pub enum TargetClass {
     Alternate,
 }
 
+/// Relative inset from the exact radius, keeping points strictly
+/// inside the matching filter.
+const INSET: f64 = 1e-3;
+
+/// Relative magnitude of the orthogonal jitter that spreads the poison
+/// cloud on the sphere.
+const JITTER: f64 = 0.05;
+
 /// Optimal placement of poison points at one radius.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundaryAttack {
     spec: RadiusSpec,
-    /// Relative inset from the exact radius, keeping points strictly
-    /// inside the matching filter (default `1e-3`).
-    inset: f64,
-    /// Relative magnitude of the orthogonal jitter that spreads the
-    /// poison cloud on the sphere (default `0.05`).
-    jitter: f64,
     /// Claimed-label policy (default [`TargetClass::Positive`]).
     target: TargetClass,
     /// Centroid policy (default [`CentroidKind::CoordinateMedian`],
@@ -218,12 +219,10 @@ pub struct BoundaryAttack {
 }
 
 impl BoundaryAttack {
-    /// New attack at the given radius with default inset and jitter.
+    /// New attack at the given radius.
     pub fn new(spec: RadiusSpec) -> Self {
         Self {
             spec,
-            inset: 1e-3,
-            jitter: 0.05,
             target: TargetClass::Positive,
             centroid: CentroidKind::CoordinateMedian,
             anchor: AnchorScope::Global,
@@ -248,18 +247,6 @@ impl BoundaryAttack {
         self
     }
 
-    /// Override the relative inset.
-    pub fn with_inset(mut self, inset: f64) -> Self {
-        self.inset = inset;
-        self
-    }
-
-    /// Override the relative jitter.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// The radius specification.
     pub fn spec(&self) -> RadiusSpec {
         self.spec
@@ -277,7 +264,7 @@ impl BoundaryAttack {
             AnchorScope::Global => self.spec.resolve_global(clean, anchor)?,
             AnchorScope::PerClass => self.spec.resolve(clean, claimed, anchor)?,
         };
-        Ok(radius * (1.0 - self.inset).max(0.0))
+        Ok(radius * (1.0 - INSET))
     }
 }
 
@@ -355,15 +342,13 @@ impl AttackStrategy for BoundaryAttack {
                 dir[k % dim] = 1.0;
             }
             // Orthogonalized jitter spreads points on the sphere cap.
-            if self.jitter > 0.0 {
-                let mut noise: Vec<f64> = (0..dim).map(|_| standard_normal(rng)).collect();
-                let along = vector::dot(&noise, &dir);
-                vector::axpy(-along, &dir, &mut noise);
-                let noise_norm = vector::norm2(&noise);
-                if noise_norm > 0.0 {
-                    vector::axpy(self.jitter / noise_norm, &noise, &mut dir);
-                    let _ = vector::normalize(&mut dir);
-                }
+            let mut noise: Vec<f64> = (0..dim).map(|_| standard_normal(rng)).collect();
+            let along = vector::dot(&noise, &dir);
+            vector::axpy(-along, &dir, &mut noise);
+            let noise_norm = vector::norm2(&noise);
+            if noise_norm > 0.0 {
+                vector::axpy(JITTER / noise_norm, &noise, &mut dir);
+                let _ = vector::normalize(&mut dir);
             }
             let mut point = own.to_vec();
             vector::axpy(r, &dir, &mut point);

@@ -10,10 +10,9 @@ use crate::error::AttackError;
 use crate::AttackStrategy;
 use poisongame_data::Dataset;
 use poisongame_linalg::rng::Xoshiro256StarStar;
-use serde::{Deserialize, Serialize};
 
 /// Label-flipping poison generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LabelFlipAttack;
 
 impl LabelFlipAttack {

@@ -6,10 +6,9 @@ use crate::error::AttackError;
 use crate::AttackStrategy;
 use poisongame_data::Dataset;
 use poisongame_linalg::Xoshiro256StarStar;
-use serde::{Deserialize, Serialize};
 
 /// One `[r_i, n_i]` element of the attacker strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiusAllocation {
     /// Placement radius.
     pub spec: RadiusSpec,
@@ -37,7 +36,7 @@ pub struct RadiusAllocation {
 /// let poison = attack.generate(&clean, 10, &mut rng).unwrap();
 /// assert_eq!(poison.len(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedRadiusAttack {
     allocations: Vec<RadiusAllocation>,
 }

@@ -5,10 +5,9 @@ use crate::error::AttackError;
 use crate::AttackStrategy;
 use poisongame_data::{Dataset, Label};
 use poisongame_linalg::rng::Xoshiro256StarStar;
-use serde::{Deserialize, Serialize};
 
 /// Uniform random poison generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RandomNoiseAttack;
 
 impl RandomNoiseAttack {

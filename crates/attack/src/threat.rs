@@ -1,10 +1,9 @@
 //! Threat model: budget and knowledge assumptions.
 
 use crate::error::AttackError;
-use serde::{Deserialize, Serialize};
 
 /// What the attacker knows when choosing a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knowledge {
     /// Full knowledge of data, model and the defender's (pure)
     /// strategy — the paper's pure-strategy scenario, where the optimal
@@ -21,7 +20,7 @@ pub enum Knowledge {
 ///
 /// The paper's experiment: "We assumed that the attacker can manipulate
 /// 20% of the training data" → `budget_fraction = 0.2`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreatModel {
     /// Fraction of the clean training-set size the attacker may inject.
     pub budget_fraction: f64,

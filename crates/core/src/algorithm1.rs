@@ -23,10 +23,9 @@ use crate::ne::find_percentage;
 use crate::strategy::DefenderMixedStrategy;
 use poisongame_linalg::numeric::{projected_gradient_descent, DescentConfig};
 use poisongame_theory::SolverKind;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Algorithm1`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Algorithm1Config {
     /// Number of filter strengths in the mixed strategy (the paper's
     /// input `n`; Table 1 reports `n = 2` and `n = 3`).
@@ -44,14 +43,12 @@ pub struct Algorithm1Config {
     /// Matrix-game solver used wherever the algorithm consults the
     /// discretized game (currently the warm start; see
     /// [`Self::warm_start`]).
-    #[serde(default)]
     pub solver: SolverKind,
     /// Seed the descent from the discretized game's defender NE
     /// (solved with [`Self::solver`]) instead of an evenly spaced
     /// support — kept only when the objective scores it no worse than
     /// the even spread. Off by default: the even start is the paper's
     /// `chooseInitialRadius(n)`.
-    #[serde(default)]
     pub warm_start: bool,
 }
 
@@ -71,7 +68,7 @@ impl Default for Algorithm1Config {
 }
 
 /// Output of [`Algorithm1::solve`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Algorithm1Result {
     /// The approximate-NE defender strategy `M_d`.
     pub strategy: DefenderMixedStrategy,

@@ -9,10 +9,9 @@
 //! that no pure profile is simultaneously a best response for both.
 
 use crate::game_model::{percentile_grid, PoisonGame};
-use serde::{Deserialize, Serialize};
 
 /// Result of tracing both best-response functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrfAnalysis {
     /// The percentile form of `T_a` (deepest profitable placement).
     pub profit_threshold: Option<f64>,

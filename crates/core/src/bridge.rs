@@ -13,10 +13,9 @@ use crate::error::CoreError;
 use crate::game_model::{percentile_grid, PoisonGame};
 use crate::strategy::DefenderMixedStrategy;
 use poisongame_theory::{MatrixGame, Solution, SolverKind};
-use serde::{Deserialize, Serialize};
 
 /// A solved discretization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscretizedSolution {
     /// Grid percentiles indexing both players' actions.
     pub grid: Vec<f64>,
@@ -31,7 +30,6 @@ pub struct DiscretizedSolution {
     /// The game value = the defender's equilibrium loss.
     pub value: f64,
     /// Name of the solver that produced [`Self::solution`].
-    #[serde(default)]
     pub solver: String,
 }
 

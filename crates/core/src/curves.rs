@@ -7,14 +7,13 @@
 
 use crate::error::CoreError;
 use poisongame_linalg::PiecewiseLinear;
-use serde::{Deserialize, Serialize};
 
 /// `E(p)` — accuracy damage per surviving poison point placed at
 /// removal-percentile `p`. Non-increasing in `p`: points nearer the
 /// boundary (`p → 0`) do the most damage. May go negative for deep
 /// placements (poison that helps the defender), which defines the
 /// paper's threshold `T_a`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EffectCurve {
     curve: PiecewiseLinear,
 }
@@ -67,7 +66,7 @@ impl EffectCurve {
 
 /// `Γ(p)` — accuracy lost to removing fraction `p` of the genuine
 /// data. Non-decreasing, anchored at `Γ(0) = 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostCurve {
     curve: PiecewiseLinear,
 }

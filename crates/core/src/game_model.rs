@@ -2,7 +2,6 @@
 
 use crate::curves::{CostCurve, EffectCurve};
 use crate::error::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// The attacker's pure strategy: placements `{(p_i, n_i)}` on the
 /// removal-percentile axis (the paper's `S_a = {[r_i, n_i]}`).
@@ -16,7 +15,7 @@ pub type AttackPlacement = Vec<(f64, usize)>;
 pub const MAX_PAYOFF: f64 = 1e150;
 
 /// The poisoning game instance: curves plus the poison budget `N`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoisonGame {
     effect: EffectCurve,
     cost: CostCurve,

@@ -10,7 +10,6 @@
 use crate::curves::EffectCurve;
 use crate::error::CoreError;
 use crate::strategy::DefenderMixedStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Closed-form probabilities that equalize the attacker's gain across
 /// a given support — the paper's `findPercentage(Sr)`.
@@ -87,7 +86,7 @@ pub fn equalizing_strategy(
 }
 
 /// Diagnostics for the two NE conditions of §4.2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeDiagnostics {
     /// `E(p_i)·survival(p_i)` per support point.
     pub products: Vec<f64>,

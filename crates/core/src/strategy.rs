@@ -3,7 +3,6 @@
 use crate::curves::{CostCurve, EffectCurve};
 use crate::error::CoreError;
 use poisongame_linalg::Xoshiro256StarStar;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A finite-support mixed strategy over filter strengths (removal
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(s.support().len(), 2);
 /// assert!((s.survival_probability(0.1) - 0.512).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenderMixedStrategy {
     support: Vec<f64>,
     probabilities: Vec<f64>,

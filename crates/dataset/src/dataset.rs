@@ -3,7 +3,6 @@
 use crate::error::DataError;
 use crate::label::Label;
 use poisongame_linalg::{vector, Matrix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A labelled dataset with one row per point.
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(d.len(), 3);
 /// assert_eq!(d.class_count(Label::Positive), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     features: Matrix,
     labels: Vec<Label>,
@@ -308,7 +307,7 @@ impl fmt::Display for Dataset {
 }
 
 /// Per-column statistics returned by [`Dataset::column_summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnSummary {
     /// Smallest value in the column.
     pub min: f64,

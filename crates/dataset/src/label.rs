@@ -1,6 +1,5 @@
 //! Binary class labels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary label for the spam-classification task.
@@ -20,9 +19,7 @@ use std::fmt;
 /// assert_eq!(Label::Positive.flipped(), Label::Negative);
 /// assert_eq!(Label::from_signed(-3.0), Label::Negative);
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Label {
     /// The benign class (ham).
     #[default]

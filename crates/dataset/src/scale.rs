@@ -9,11 +9,10 @@
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
-use serde::{Deserialize, Serialize};
 
 /// Min-max scaler mapping each column to `[0, 1]` (constant columns map
 /// to `0`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     ranges: Vec<f64>,
@@ -94,7 +93,7 @@ impl MinMaxScaler {
 }
 
 /// Z-score scaler (`(x - mean) / std`; constant columns map to `0`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

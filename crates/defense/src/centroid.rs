@@ -9,10 +9,9 @@
 
 use crate::error::DefenseError;
 use poisongame_linalg::{stats, vector};
-use serde::{Deserialize, Serialize};
 
 /// Which location estimator anchors the filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CentroidEstimator {
     /// Arithmetic mean — cheapest, 0 % breakdown point.
     Mean,

@@ -5,10 +5,9 @@ use crate::centroid::CentroidEstimator;
 use crate::error::DefenseError;
 use poisongame_data::{DataView, Dataset, Label};
 use poisongame_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// How strong the filter is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FilterStrength {
     /// Remove this fraction of each class's points — the farthest ones
     /// from the class centroid. This is the x-axis of the paper's
@@ -46,7 +45,7 @@ pub trait Filter {
 }
 
 /// Result of filtering: which indices survived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutcome {
     /// Indices kept, ascending.
     pub kept_indices: Vec<usize>,
@@ -98,7 +97,7 @@ impl FilterOutcome {
 
 /// Ground-truth accounting of a filter run (experiment-side only; the
 /// real defender cannot observe this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterAccounting {
     /// Injected points that the filter removed.
     pub poison_removed: usize,
@@ -134,7 +133,7 @@ impl FilterAccounting {
 }
 
 /// Which points a filter radius is measured against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterScope {
     /// One centroid for the whole training set — the paper's game
     /// model ("the hypersphere centered at the centroid of the
@@ -165,7 +164,7 @@ pub enum FilterScope {
 /// let kept = filter.apply(&data).unwrap();
 /// assert!(kept.len() < data.len());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiusFilter {
     strength: FilterStrength,
     centroid: CentroidEstimator,
@@ -192,11 +191,6 @@ impl RadiusFilter {
     /// The configured strength.
     pub fn strength(&self) -> FilterStrength {
         self.strength
-    }
-
-    /// The configured centroid estimator.
-    pub fn centroid_estimator(&self) -> CentroidEstimator {
-        self.centroid
     }
 
     /// The configured scope.

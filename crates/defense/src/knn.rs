@@ -9,10 +9,9 @@ use crate::error::DefenseError;
 use crate::filter::{Filter, FilterOutcome};
 use poisongame_data::{DataView, Label};
 use poisongame_linalg::{stats, vector};
-use serde::{Deserialize, Serialize};
 
 /// k-NN distance filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnnDistanceFilter {
     k: usize,
     remove_per_mille: u16,

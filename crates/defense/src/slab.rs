@@ -12,11 +12,10 @@ use crate::error::DefenseError;
 use crate::filter::{Filter, FilterOutcome};
 use poisongame_data::{DataView, Label};
 use poisongame_linalg::{stats, vector};
-use serde::{Deserialize, Serialize};
 
 /// Slab filter: removes the fraction of each class whose projection
 /// onto the centroid axis deviates most from the class centroid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlabFilter {
     remove_fraction: f64,
     centroid: CentroidEstimator,

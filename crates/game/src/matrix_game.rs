@@ -3,7 +3,6 @@
 use crate::error::GameError;
 use crate::strategy::MixedStrategy;
 use poisongame_linalg::{vector, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A finite two-player zero-sum game.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.shape(), (2, 2));
 /// assert!(g.saddle_point().is_none()); // no pure equilibrium
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixGame {
     payoffs: Matrix,
 }

@@ -38,7 +38,6 @@ use crate::matrix_game::MatrixGame;
 use crate::multiplicative::{solve_multiplicative_weights, MultiplicativeWeightsConfig};
 use crate::simplex::solve_lp;
 use crate::strategy::Solution;
-use serde::{Deserialize, Serialize};
 
 /// Largest action count for which [`SolverKind::Auto`] still picks the
 /// exact LP; beyond it `Auto` takes multiplicative weights.
@@ -160,7 +159,7 @@ impl ZeroSumSolver for MultiplicativeWeights {
 }
 
 /// Runtime-selectable solver choice, carried by experiment configs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverKind {
     /// Exact LP for games up to [`AUTO_EXACT_LIMIT`] actions per side,
     /// multiplicative weights beyond.

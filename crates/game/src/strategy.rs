@@ -2,7 +2,6 @@
 
 use crate::error::GameError;
 use poisongame_linalg::Xoshiro256StarStar;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tolerance for probability-sum validation.
@@ -24,7 +23,7 @@ const SUM_TOLERANCE: f64 = 1e-6;
 /// assert_eq!(s.support(), vec![0, 1]);
 /// assert!(MixedStrategy::new(vec![0.5, -0.5]).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedStrategy {
     probabilities: Vec<f64>,
 }
@@ -207,7 +206,7 @@ pub fn sample_index(probs: &[f64], rng: &mut Xoshiro256StarStar) -> usize {
 }
 
 /// A solved zero-sum game: both equilibrium strategies and the value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Row (maximizer) equilibrium strategy.
     pub row_strategy: MixedStrategy,

@@ -6,7 +6,6 @@
 //! module turns them into smooth, monotone, integrable functions.
 
 use crate::error::LinalgError;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear function defined by sorted knots.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.eval(-1.0), 0.0); // clamped
 /// assert_eq!(f.eval(2.0), 2.0);  // clamped
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -89,16 +88,6 @@ impl PiecewiseLinear {
     /// The knot y-coordinates.
     pub fn ys(&self) -> &[f64] {
         &self.ys
-    }
-
-    /// Smallest knot x.
-    pub fn x_min(&self) -> f64 {
-        self.xs[0]
-    }
-
-    /// Largest knot x.
-    pub fn x_max(&self) -> f64 {
-        *self.xs.last().expect("non-empty by construction")
     }
 
     /// Evaluate at `x` with constant extrapolation outside the knots.

@@ -2,7 +2,6 @@
 
 use crate::error::LinalgError;
 use crate::vector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Row-major dense `f64` matrix.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// assert_eq!(m.column(0), vec![1.0, 3.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -414,8 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_via_debug_shape() {
-        // serde derives compile; spot check via to/from the flat buffer.
+    fn flat_buffer_round_trip() {
         let m = sample();
         let back = Matrix::from_vec(2, 3, m.clone().into_vec()).unwrap();
         assert_eq!(back, m);

@@ -250,11 +250,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation (`+∞` before any observation).
     pub fn min(&self) -> f64 {
         self.min

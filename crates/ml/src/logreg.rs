@@ -12,7 +12,6 @@ use poisongame_data::DataView;
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Binary logistic regression with L2 regularization.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// model.fit(&data).unwrap();
 /// assert!(model.accuracy_on(&data) > 0.95);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     config: TrainConfig,
     weights: Option<Vec<f64>>,

@@ -1,7 +1,6 @@
 //! Classification metrics.
 
 use poisongame_data::Label;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// 2×2 confusion matrix for binary classification.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(cm.true_positives, 1);
 /// assert_eq!(cm.accuracy(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Positive points predicted positive.
     pub true_positives: usize,

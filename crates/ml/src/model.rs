@@ -3,7 +3,6 @@
 use crate::error::MlError;
 use crate::schedule::Schedule;
 use poisongame_data::{DataView, Label};
-use serde::{Deserialize, Serialize};
 
 /// Selects the inner training loop of the SGD learners.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// visit rows in the *same* shuffled order from the *same* seed, but
 /// aggregation changes the update sequence, so minibatch results are
 /// equivalent in accuracy (tolerance-pinned by tests), not in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitKernel {
     /// Row-at-a-time SGD — the bit-exact golden reference (default).
     #[default]
@@ -29,7 +28,7 @@ pub enum FitKernel {
 }
 
 /// Shared configuration for the SGD-trained linear models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training data. The paper trains for
     /// 5000 epochs; experiments expose this knob so tests can run fast.
@@ -108,7 +107,7 @@ impl TrainConfig {
 /// The linear state `(w, b)` of a fitted linear model — what batched
 /// held-out evaluation ([`crate::batch::batched_accuracy`]) stacks
 /// across cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearState {
     /// Weight vector.
     pub weights: Vec<f64>,

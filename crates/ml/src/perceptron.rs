@@ -7,7 +7,6 @@ use poisongame_data::DataView;
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Averaged perceptron (Freund & Schapire voting approximation).
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// p.fit(&data).unwrap();
 /// assert!(p.accuracy_on(&data) > 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AveragedPerceptron {
     config: TrainConfig,
     weights: Option<Vec<f64>>,

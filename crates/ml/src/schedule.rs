@@ -1,9 +1,7 @@
 //! Learning-rate schedules for stochastic gradient descent.
 
-use serde::{Deserialize, Serialize};
-
 /// Learning-rate schedule evaluated at the (1-based) update counter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Schedule {
     /// Fixed rate `eta0`.
     Constant {

@@ -16,7 +16,6 @@ use poisongame_data::{DataView, Dataset};
 use poisongame_linalg::rng::{shuffled_indices, Xoshiro256StarStar};
 use poisongame_linalg::vector;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Linear SVM with hinge loss and L2 regularization.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// svm.fit(&data).unwrap();
 /// assert!(svm.accuracy_on(&data) > 0.95);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvm {
     config: TrainConfig,
     weights: Option<Vec<f64>>,

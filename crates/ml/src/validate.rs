@@ -8,10 +8,9 @@ use poisongame_data::Dataset;
 use poisongame_linalg::stats;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Result of a k-fold cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidation {
     /// Held-out accuracy per fold.
     pub fold_accuracies: Vec<f64>,

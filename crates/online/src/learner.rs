@@ -26,7 +26,6 @@
 use crate::error::OnlineError;
 use poisongame_sim::jsonio::{self, Json};
 use poisongame_theory::{softmax, MixedStrategy};
-use serde::{Deserialize, Serialize};
 
 /// A per-round strategy-update rule over a fixed action set.
 ///
@@ -271,7 +270,7 @@ impl Learner for FixedStrategy {
 }
 
 /// Runtime-selectable learner choice, carried by online specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnerKind {
     /// [`RegretMatching`] — the default.
     #[default]

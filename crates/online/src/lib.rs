@@ -16,21 +16,19 @@
 //!   rules: regret matching, Hedge (anytime multiplicative weights),
 //!   fictitious play, and fixed-NE / fixed-pure baselines.
 //! * [`payoff`] — how rounds are scored: a precomputed
-//!   [`MatrixPayoff`] (the paper's discretized game — horizons of
-//!   `T ≥ 10k` run at solver speed), or the [`EnginePayoff`] that
-//!   scores each pair by **actually running** the configured
-//!   attack × defense × learner cell through the
-//!   [`poisongame_sim::EvalEngine`] (`PrepCache`-hit per query,
-//!   memoized per entry).
+//!   [`MatrixPayoff`] (the paper's discretized game, or an empirical
+//!   grid whose every pair **actually runs** the configured
+//!   attack × defense × learner cell). Horizons of `T ≥ 10k` run at
+//!   solver speed.
 //! * [`play`](mod@play) — the deterministic simulator and its convergence
 //!   diagnostics (per-player external regret, exploitability, NE
 //!   gap), serialized as an [`OnlineTrace`].
 //! * [`spec`] — the serializable [`OnlineSpec`] the serving protocol
 //!   ships.
-//! * [`pipeline`] — empirical runs end to end: [`run_online`]
-//!   (parallel grid materialization), [`run_online_engine`] (lazy,
-//!   cache-hitting), [`run_online_prepared`] (the serving dispatch
-//!   path) — all bit-identical for the same inputs.
+//! * [`pipeline`] — empirical runs end to end: [`run_online`] prepares
+//!   through the [`poisongame_sim::EvalEngine`]'s cache, then runs
+//!   [`run_online_prepared`] (the core the serving executors call):
+//!   the payoff grid materialized on the worker pool, then play.
 //! * [`report`] — ASCII/CSV rendering of traces.
 //!
 //! # Example
@@ -51,7 +49,7 @@
 //! let (_grid, matrix) = discretized_game(&game, 40);
 //!
 //! let trace = play(
-//!     &mut MatrixPayoff::new(matrix),
+//!     &MatrixPayoff::new(matrix),
 //!     &PlayConfig { rounds: 10_000, ..PlayConfig::default() },
 //! )?;
 //! let lp = solve_discretized(&game, 40)?;
@@ -73,7 +71,7 @@ pub mod spec;
 
 pub use error::OnlineError;
 pub use learner::{FixedStrategy, FollowTheLeader, Hedge, Learner, LearnerKind, RegretMatching};
-pub use payoff::{EnginePayoff, MatrixPayoff, RoundPayoff};
-pub use pipeline::{run_online, run_online_engine, run_online_prepared, OnlineOutcome};
-pub use play::{play, play_on_matrix, Feedback, OnlinePoint, OnlineTrace, PlayConfig};
+pub use payoff::MatrixPayoff;
+pub use pipeline::{run_online, run_online_prepared, OnlineOutcome};
+pub use play::{play, Feedback, OnlinePoint, OnlineTrace, PlayConfig};
 pub use spec::OnlineSpec;

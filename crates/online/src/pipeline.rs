@@ -1,28 +1,23 @@
 //! Run empirical online games end to end: dataset preparation through
-//! the [`EvalEngine`], payoff-grid materialization through the
-//! two-phase task graph, then the sequential play loop.
+//! the [`EvalEngine`], payoff-grid materialization on the worker pool,
+//! then the sequential play loop.
 //!
-//! Three entry points, all producing **bit-identical traces** for the
-//! same `(config, spec)`:
+//! * [`run_online`] — the front door: cached preparation, then
+//!   [`run_online_prepared`], with the engine's cache counters.
+//! * [`run_online_prepared`] — the core, against an already-shared
+//!   preparation (what the serving executors call): the payoff grid
+//!   fanned out across the process-wide worker pool
+//!   (`poisongame_sim::exec::pool`) via [`materialize_grid`] (the
+//!   baseline is phase 1, the cells phase 2), then [`play`]. The
+//!   pool's submitter-participates design means this is safe to call
+//!   from inside another parallel map — e.g. a grid of online games —
+//!   with no deadlock and unchanged traces.
 //!
-//! * [`run_online`] — the batch front door: cached preparation, then
-//!   the payoff grid fanned out across the process-wide worker pool
-//!   (`poisongame_sim::exec::pool`) via [`prepare_then_map`] (the
-//!   baseline is phase 1, the cells phase 2), then play. The pool's
-//!   submitter-participates design means this is safe to call from
-//!   inside another parallel map — e.g. a grid of online games — with
-//!   no deadlock and unchanged traces.
-//! * [`run_online_prepared`] — the evaluate phase alone, against an
-//!   already-shared preparation (what the serving executors call).
-//! * [`run_online_engine`] — the lazy [`EnginePayoff`] route: every
-//!   cell query prepares through the engine (a `PrepCache` hit after
-//!   the first) and memoizes locally. Same numbers, different
-//!   schedule; its [`EngineStats`] shows cache hits outnumbering
-//!   misses.
+//! Traces are bit-identical at any worker count.
 
 use crate::error::OnlineError;
-use crate::payoff::{cell_seeds, empirical_baseline, empirical_entry, EnginePayoff};
-use crate::play::{play, play_on_matrix, OnlineTrace, PlayConfig};
+use crate::payoff::{cell_seeds, empirical_baseline, empirical_entry, MatrixPayoff};
+use crate::play::{play, OnlineTrace, PlayConfig};
 use crate::spec::OnlineSpec;
 use poisongame_sim::engine::EvalEngine;
 use poisongame_sim::exec::{prepare_then_map, ExecPolicy};
@@ -31,21 +26,20 @@ use poisongame_sim::scenario::EngineStats;
 use poisongame_theory::MatrixGame;
 use std::time::Instant;
 
-/// The result of one empirical online run: the trace plus, when the
-/// run went through an engine entry point, cache/throughput
-/// measurements (wall-clock fields are nondeterministic — compare
-/// traces, not stats).
+/// The result of one empirical online run: the trace plus the
+/// engine's cache/throughput measurements (wall-clock fields are
+/// nondeterministic — compare traces, not stats).
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// The diagnostics trace.
     pub trace: OnlineTrace,
-    /// Engine-side measurements (`None` on the prepared-only path).
-    pub engine: Option<EngineStats>,
+    /// Engine-side measurements.
+    pub engine: EngineStats,
 }
 
 /// The play configuration a `(config, spec)` pair implies: the
 /// experiment's master seed is recorded verbatim (the sampling stream
-/// is salted inside [`crate::play::play_on_matrix`]), so the trace's
+/// is salted inside [`play`]), so the trace's
 /// `seed` field is exactly the seed that reproduces the whole run.
 fn play_config(config: &ExperimentConfig, spec: &OnlineSpec) -> PlayConfig {
     PlayConfig {
@@ -119,12 +113,12 @@ pub fn run_online(
     let after = engine.cache_stats();
     Ok(OnlineOutcome {
         trace,
-        engine: Some(EngineStats {
+        engine: EngineStats {
             prep_hits: after.hits - before.hits,
             prep_misses: after.misses - before.misses,
             cells: spec.n_cells(),
             elapsed_micros: start.elapsed().as_micros(),
-        }),
+        },
     })
 }
 
@@ -142,37 +136,7 @@ pub fn run_online_prepared(
     policy: &ExecPolicy,
 ) -> Result<OnlineTrace, OnlineError> {
     let game = materialize_grid(prepared, config, spec, policy)?;
-    play_on_matrix(&game, &play_config(config, spec))
-}
-
-/// The lazy engine-backed route: cells materialize one query at a
-/// time through [`EnginePayoff`], each preparing via the engine's
-/// `PrepCache` (hits outnumber misses from the second query on).
-/// Bit-identical to [`run_online`] — only the schedule differs.
-///
-/// # Errors
-///
-/// Propagates spec validation, evaluation and play failures.
-pub fn run_online_engine(
-    engine: &EvalEngine,
-    config: &ExperimentConfig,
-    spec: &OnlineSpec,
-) -> Result<OnlineOutcome, OnlineError> {
-    spec.validate()?;
-    let before = engine.cache_stats();
-    let start = Instant::now();
-    let mut payoff = EnginePayoff::new(engine, config, &spec.placements, &spec.strengths)?;
-    let trace = play(&mut payoff, &play_config(config, spec))?;
-    let after = engine.cache_stats();
-    Ok(OnlineOutcome {
-        trace,
-        engine: Some(EngineStats {
-            prep_hits: after.hits - before.hits,
-            prep_misses: after.misses - before.misses,
-            cells: spec.n_cells(),
-            elapsed_micros: start.elapsed().as_micros(),
-        }),
-    })
+    play(&MatrixPayoff::new(game), &play_config(config, spec))
 }
 
 #[cfg(test)]
@@ -199,36 +163,92 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_parallel_routes_are_bit_identical() {
+    fn repeated_runs_hit_the_cache_and_match_the_prepared_core() {
         let config = quick_config();
         let spec = quick_spec();
 
         let engine = EvalEngine::new();
-        let lazy = run_online_engine(&engine, &config, &spec).unwrap();
+        let policy = ExecPolicy::with_threads(4);
+        let first = run_online(&engine, &config, &spec, &policy).unwrap();
         assert_eq!(
-            lazy.trace.seed, config.seed,
+            first.trace.seed, config.seed,
             "the trace records the master seed verbatim, reproducing the run"
         );
-        let stats = lazy.engine.expect("engine route carries stats");
-        assert_eq!(stats.cells, 9);
-        assert!(
-            stats.prep_hits > stats.prep_misses,
-            "lazy route must hit the prep cache: {stats:?}"
-        );
+        assert_eq!(first.engine.cells, 9);
+        assert_eq!(first.engine.prep_misses, 1, "{:?}", first.engine);
 
-        let engine2 = EvalEngine::new();
-        let batch = run_online(&engine2, &config, &spec, &ExecPolicy::with_threads(4)).unwrap();
+        // The second run on the same engine prepares from the cache.
+        let second = run_online(&engine, &config, &spec, &policy).unwrap();
+        assert_eq!(second.engine.prep_misses, 0, "{:?}", second.engine);
+        assert!(second.engine.prep_hits >= 1, "{:?}", second.engine);
         assert_eq!(
-            batch.trace.to_json_string(),
-            lazy.trace.to_json_string(),
-            "schedules must not change the trace"
+            second.trace.to_json_string(),
+            first.trace.to_json_string(),
+            "a cached preparation must not change the trace"
         );
 
-        // The prepared-only route matches too (what serving calls).
+        // The prepared-only core matches too (what serving calls).
         let prepared = prepare(&config).unwrap();
         let served =
             run_online_prepared(&prepared, &config, &spec, &ExecPolicy::sequential()).unwrap();
-        assert_eq!(served.to_json_string(), lazy.trace.to_json_string());
+        assert_eq!(served.to_json_string(), first.trace.to_json_string());
+    }
+
+    /// The 2 × 2 grid the empirical-grid checks score, on seed 9.
+    fn grid_spec() -> OnlineSpec {
+        OnlineSpec {
+            placements: vec![0.02, 0.2],
+            strengths: vec![0.0, 0.2],
+            ..OnlineSpec::default()
+        }
+    }
+
+    fn grid_config() -> ExperimentConfig {
+        ExperimentConfig {
+            seed: 9,
+            ..quick_config()
+        }
+    }
+
+    #[test]
+    fn materialized_grid_is_deterministic_and_poison_hurts() {
+        let config = grid_config();
+        let spec = grid_spec();
+        let prepared = prepare(&config).unwrap();
+        let game = materialize_grid(&prepared, &config, &spec, &ExecPolicy::sequential()).unwrap();
+        assert_eq!(game.shape(), (2, 2));
+        // A shallow attack against no filter must hurt: positive payoff.
+        assert!(game.payoff(0, 0) > 0.0, "boundary poison did no damage");
+
+        // Entries are a pure function of (config, grids): a fresh
+        // preparation on another worker count reproduces them
+        // bit-for-bit.
+        let again = materialize_grid(
+            &prepare(&config).unwrap(),
+            &config,
+            &spec,
+            &ExecPolicy::with_threads(4),
+        )
+        .unwrap();
+        assert_eq!(again, game);
+    }
+
+    #[test]
+    fn materialized_grid_picks_up_minibatch_kernel_from_config() {
+        // `fit_kernel` flows config → train_config → every cell fit
+        // with no grid-side wiring. The empirical entries stay a
+        // deterministic pure function of (config, grids), and the
+        // minibatch grid must still show the attack hurting at (0, 0).
+        let config = ExperimentConfig {
+            fit_kernel: poisongame_sim::FitKernel::Minibatch { batch: 32 },
+            ..grid_config()
+        };
+        let spec = grid_spec();
+        let policy = ExecPolicy::sequential();
+        let game = materialize_grid(&prepare(&config).unwrap(), &config, &spec, &policy).unwrap();
+        assert!(game.payoff(0, 0) > 0.0, "boundary poison did no damage");
+        let again = materialize_grid(&prepare(&config).unwrap(), &config, &spec, &policy).unwrap();
+        assert_eq!(again, game, "minibatch is deterministic");
     }
 
     #[test]
@@ -260,16 +280,36 @@ mod tests {
     fn bad_specs_fail_before_evaluation() {
         let engine = EvalEngine::new();
         let config = quick_config();
+        let policy = ExecPolicy::default();
         let mut spec = quick_spec();
         spec.rounds = 0;
-        assert!(run_online(&engine, &config, &spec, &ExecPolicy::default()).is_err());
+        assert!(run_online(&engine, &config, &spec, &policy).is_err());
         spec = quick_spec();
         spec.placements = vec![2.0];
-        assert!(run_online_engine(&engine, &config, &spec).is_err());
+        assert!(run_online(&engine, &config, &spec, &policy).is_err());
         assert_eq!(
             engine.cache_stats().misses,
             0,
             "validation must run before preparation"
         );
+    }
+
+    #[test]
+    fn run_online_rejects_bad_grids() {
+        let engine = EvalEngine::new();
+        let config = grid_config();
+        let policy = ExecPolicy::default();
+        for (placements, strengths) in [(vec![], vec![0.1]), (vec![0.1], vec![1.2])] {
+            let spec = OnlineSpec {
+                placements,
+                strengths,
+                ..OnlineSpec::default()
+            };
+            assert!(matches!(
+                run_online(&engine, &config, &spec, &policy),
+                Err(OnlineError::BadParameter { .. })
+            ));
+        }
+        assert_eq!(engine.cache_stats().misses, 0);
     }
 }

@@ -1,10 +1,10 @@
 //! The deterministic repeated-game simulator and its diagnostics.
 //!
-//! Two [`Learner`](crate::Learner)s — the attacker maximizing, the defender minimizing
-//! — play `T` rounds of the zero-sum game a [`RoundPayoff`] provider
-//! scores. Each round both sides read their current mixed strategy,
-//! receive full-information feedback, and update. The simulator
-//! records convergence diagnostics at checkpoints:
+//! Two [`Learner`](crate::Learner)s — the attacker maximizing, the
+//! defender minimizing — play `T` rounds of the zero-sum game a
+//! [`MatrixPayoff`] holds. Each round both sides read their current
+//! mixed strategy, receive full-information feedback, and update. The
+//! simulator records convergence diagnostics at checkpoints:
 //!
 //! * **external regret** per player — how much the best fixed action
 //!   in hindsight beats the realized play, averaged per round (the
@@ -23,15 +23,14 @@
 
 use crate::error::OnlineError;
 use crate::learner::LearnerKind;
-use crate::payoff::RoundPayoff;
+use crate::payoff::MatrixPayoff;
 use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_sim::jsonio::{self, Json};
-use poisongame_theory::{sample_index, MatrixGame, MixedStrategy, SolverKind};
+use poisongame_theory::{sample_index, MixedStrategy, SolverKind};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// What each learner observes per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Feedback {
     /// The expected payoff of each action against the opponent's
     /// current **mixed** strategy — deterministic, the fastest road to
@@ -69,7 +68,7 @@ impl Feedback {
 }
 
 /// Configuration of one repeated-game run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlayConfig {
     /// Rounds to play.
     pub rounds: usize,
@@ -109,18 +108,24 @@ impl Default for PlayConfig {
     }
 }
 
-impl PlayConfig {
-    fn resolved_checkpoint(&self) -> usize {
-        if self.checkpoint_every > 0 {
-            self.checkpoint_every
-        } else {
-            (self.rounds / 16).max(1)
-        }
+/// The checkpoint cadence of a `rounds`-round run: `checkpoint_every`,
+/// or `max(rounds / 16, 1)` when it is `0` (auto).
+fn resolved_checkpoint(rounds: usize, checkpoint_every: usize) -> usize {
+    if checkpoint_every > 0 {
+        checkpoint_every
+    } else {
+        (rounds / 16).max(1)
     }
 }
 
+/// How many [`OnlinePoint`]s a `rounds`-round run records: one per
+/// cadence multiple, plus the final round.
+pub(crate) fn checkpoint_count(rounds: usize, checkpoint_every: usize) -> usize {
+    rounds.div_ceil(resolved_checkpoint(rounds, checkpoint_every))
+}
+
 /// One diagnostics checkpoint of a repeated-game run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlinePoint {
     /// Rounds played so far.
     pub round: usize,
@@ -187,7 +192,7 @@ impl OnlinePoint {
 
 /// The serialized record of one repeated-game run: checkpointed
 /// convergence diagnostics plus the final time-averaged strategies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineTrace {
     /// Rounds played.
     pub rounds: usize,
@@ -303,43 +308,26 @@ fn normalized(sums: &[f64], t: usize) -> Vec<f64> {
     sums.iter().map(|s| s / t as f64).collect()
 }
 
-/// Play `config.rounds` rounds of the game `payoff` scores and return
+/// Play `config.rounds` rounds of the game `payoff` holds and return
 /// the diagnostics trace.
 ///
-/// The provider's matrix is materialized up front (memoized mode):
-/// the one-shot reference equilibrium is solved on it, and every
-/// subsequent round is pure matrix-vector work, so long horizons run
-/// at solver speed regardless of how expensive a single empirical
-/// payoff evaluation is.
+/// The one-shot reference equilibrium is solved on the matrix first;
+/// every round after that is pure matrix-vector work, so long horizons
+/// run at solver speed however expensive an empirical cell was to
+/// score.
 ///
 /// # Errors
 ///
 /// Returns [`OnlineError::BadParameter`] for `rounds == 0`, and
-/// propagates payoff materialization, reference-solve and
-/// learner-construction failures.
-pub fn play(payoff: &mut dyn RoundPayoff, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
+/// propagates reference-solve and learner-construction failures.
+pub fn play(payoff: &MatrixPayoff, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
     if config.rounds == 0 {
         return Err(OnlineError::BadParameter {
             what: "rounds",
             value: 0.0,
         });
     }
-    let game = payoff.matrix()?;
-    play_on_matrix(&game, config)
-}
-
-/// [`play`] against an already-materialized payoff matrix.
-///
-/// # Errors
-///
-/// Same conditions as [`play`] minus materialization.
-pub fn play_on_matrix(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTrace, OnlineError> {
-    if config.rounds == 0 {
-        return Err(OnlineError::BadParameter {
-            what: "rounds",
-            value: 0.0,
-        });
-    }
+    let game = payoff.game();
     let (m, n) = game.shape();
 
     // The one-shot reference: NE value for the gap diagnostic, NE
@@ -361,7 +349,7 @@ pub fn play_on_matrix(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTr
     let mut attacker_realized = 0.0f64;
     let mut defender_realized = 0.0f64;
 
-    let checkpoint = config.resolved_checkpoint();
+    let checkpoint = resolved_checkpoint(config.rounds, config.checkpoint_every);
     let mut points = Vec::new();
 
     for t in 1..=config.rounds {
@@ -450,7 +438,7 @@ pub fn play_on_matrix(game: &MatrixGame, config: &PlayConfig) -> Result<OnlineTr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payoff::MatrixPayoff;
+    use poisongame_theory::MatrixGame;
 
     fn pennies() -> MatrixGame {
         MatrixGame::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap()
@@ -471,7 +459,7 @@ mod tests {
             rounds: 20_000,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(pennies()), &config).unwrap();
         let last = trace.last();
         assert_eq!(last.round, 20_000);
         assert!(last.ne_gap < 1e-2, "gap {}", last.ne_gap);
@@ -494,7 +482,7 @@ mod tests {
             defender: LearnerKind::FictitiousPlay,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(rps()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(rps()), &config).unwrap();
         assert_eq!(trace.attacker, "hedge");
         assert_eq!(trace.defender, "fictitious_play");
         assert!(trace.last().ne_gap < 2e-2, "gap {}", trace.last().ne_gap);
@@ -508,7 +496,7 @@ mod tests {
             defender: LearnerKind::FixedNe,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(pennies()), &config).unwrap();
         assert!(trace.last().ne_gap < 1e-9);
         assert!(trace.last().exploitability < 1e-9);
     }
@@ -524,7 +512,7 @@ mod tests {
             defender: LearnerKind::RegretMatching,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(pennies()), &config).unwrap();
         assert!(
             trace.last().average_value < trace.ne_value - 0.5,
             "adaptive defender should beat a pure attacker: {} vs NE {}",
@@ -541,12 +529,12 @@ mod tests {
             seed: 77,
             ..PlayConfig::default()
         };
-        let a = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
-        let b = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let a = play(&MatrixPayoff::new(pennies()), &config).unwrap();
+        let b = play(&MatrixPayoff::new(pennies()), &config).unwrap();
         assert_eq!(a, b, "same seed, same trace");
         assert!(a.last().ne_gap < 0.05, "gap {}", a.last().ne_gap);
         let other = play(
-            &mut MatrixPayoff::new(pennies()),
+            &MatrixPayoff::new(pennies()),
             &PlayConfig { seed: 78, ..config },
         )
         .unwrap();
@@ -560,7 +548,7 @@ mod tests {
             checkpoint_every: 300,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(pennies()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(pennies()), &config).unwrap();
         let rounds: Vec<usize> = trace.points.iter().map(|p| p.round).collect();
         assert_eq!(rounds, vec![300, 600, 900, 1_000]);
     }
@@ -571,7 +559,7 @@ mod tests {
             rounds: 0,
             ..PlayConfig::default()
         };
-        assert!(play(&mut MatrixPayoff::new(pennies()), &config).is_err());
+        assert!(play(&MatrixPayoff::new(pennies()), &config).is_err());
     }
 
     #[test]
@@ -584,7 +572,7 @@ mod tests {
             seed: u64::MAX - 3,
             ..PlayConfig::default()
         };
-        let trace = play(&mut MatrixPayoff::new(rps()), &config).unwrap();
+        let trace = play(&MatrixPayoff::new(rps()), &config).unwrap();
         let wire = trace.to_json_string();
         let back = OnlineTrace::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(back, trace);

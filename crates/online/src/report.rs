@@ -84,7 +84,7 @@ mod tests {
     fn trace() -> OnlineTrace {
         let game = MatrixGame::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap();
         play(
-            &mut MatrixPayoff::new(game),
+            &MatrixPayoff::new(game),
             &PlayConfig {
                 rounds: 200,
                 checkpoint_every: 100,

@@ -4,15 +4,20 @@
 use crate::error::OnlineError;
 use crate::learner::LearnerKind;
 use crate::payoff::validate_grid;
-use crate::play::Feedback;
+use crate::play::{checkpoint_count, Feedback};
 use poisongame_sim::jsonio::{self, Json};
-use serde::{Deserialize, Serialize};
+
+/// The most checkpoints a spec may ask for. A trace holds one
+/// [`crate::OnlinePoint`] per checkpoint, so this bounds a trace's
+/// memory whatever `rounds` and `checkpoint_every` arrive on the wire;
+/// the auto cadence records at most 31.
+pub const MAX_CHECKPOINTS: usize = 10_000;
 
 /// An empirical repeated-game run: which learners play, for how long,
 /// over which attack-placement × filter-strength action grids. Paired
 /// with an [`poisongame_sim::ExperimentConfig`] (dataset, budget,
 /// scenario, master seed) it fully determines the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineSpec {
     /// Rounds to play.
     pub rounds: usize,
@@ -58,13 +63,21 @@ impl OnlineSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`OnlineError::BadParameter`] for zero rounds or empty
-    /// / out-of-range action grids.
+    /// Returns [`OnlineError::BadParameter`] for zero rounds, more
+    /// than [`MAX_CHECKPOINTS`] checkpoints, or empty / out-of-range
+    /// action grids.
     pub fn validate(&self) -> Result<(), OnlineError> {
         if self.rounds == 0 {
             return Err(OnlineError::BadParameter {
                 what: "rounds",
                 value: 0.0,
+            });
+        }
+        let checkpoints = checkpoint_count(self.rounds, self.checkpoint_every);
+        if checkpoints > MAX_CHECKPOINTS {
+            return Err(OnlineError::BadParameter {
+                what: "checkpoints",
+                value: checkpoints as f64,
             });
         }
         validate_grid("placements", &self.placements)?;
@@ -214,5 +227,30 @@ mod tests {
             ..OnlineSpec::default()
         };
         assert!(bad_strength.validate().is_err());
+    }
+    #[test]
+    fn validation_bounds_the_checkpoint_count() {
+        let spec = |rounds: usize, checkpoint_every: usize| OnlineSpec {
+            rounds,
+            checkpoint_every,
+            ..OnlineSpec::default()
+        };
+        // At the bound, and the auto cadence at any horizon.
+        assert!(spec(MAX_CHECKPOINTS, 1).validate().is_ok());
+        assert!(spec(20 * MAX_CHECKPOINTS, 20).validate().is_ok());
+        assert!(spec(usize::MAX, 0).validate().is_ok());
+        // One past it: a partial last cadence counts as a checkpoint.
+        assert!(spec(MAX_CHECKPOINTS + 1, 1).validate().is_err());
+        assert!(spec(20 * MAX_CHECKPOINTS + 1, 20).validate().is_err());
+        // A trillion one-round checkpoints, as parsed from the wire, is
+        // a structured rejection naming the count.
+        let wire = OnlineSpec::from_json_str(r#"{"rounds":1e12,"checkpoint_every":1}"#).unwrap();
+        assert_eq!(
+            wire.validate(),
+            Err(OnlineError::BadParameter {
+                what: "checkpoints",
+                value: 1e12,
+            })
+        );
     }
 }

@@ -29,7 +29,7 @@ fn random_game(seed: u64, m: usize, n: usize) -> MatrixGame {
 
 fn self_play_value(game: &MatrixGame, kind: LearnerKind, rounds: usize) -> f64 {
     let trace = play(
-        &mut MatrixPayoff::new(game.clone()),
+        &MatrixPayoff::new(game.clone()),
         &PlayConfig {
             rounds,
             attacker: kind,
@@ -76,7 +76,7 @@ fn adaptive_play_converges_to_the_algorithm1_equilibrium() {
 
     for kind in [LearnerKind::RegretMatching, LearnerKind::Hedge] {
         let trace = play(
-            &mut MatrixPayoff::new(matrix.clone()),
+            &MatrixPayoff::new(matrix.clone()),
             &PlayConfig {
                 rounds: 50_000,
                 attacker: kind,
@@ -117,7 +117,7 @@ fn fixed_ne_baseline_is_unexploitable_by_adaptive_attackers() {
     let game = paper_game().expect("paper-calibrated game");
     let (_grid, matrix) = discretized_game(&game, 40);
     let trace = play(
-        &mut MatrixPayoff::new(matrix),
+        &MatrixPayoff::new(matrix),
         &PlayConfig {
             rounds: 20_000,
             attacker: LearnerKind::RegretMatching,

@@ -229,6 +229,21 @@ fn online_round_trips_end_to_end_and_matches_local_play() {
         ServeError::Server { code, .. } => assert_eq!(code, ErrorCode::EvalFailed),
         other => panic!("expected eval_failed, got {other}"),
     }
+    // So does a spec whose trace would hold more than MAX_CHECKPOINTS
+    // points: rejected before any cell is scored or round played.
+    let mut unbounded = request.clone();
+    unbounded.spec.rounds = 1_000_000_000_000;
+    unbounded.spec.checkpoint_every = 1;
+    match client
+        .online(&unbounded)
+        .expect_err("unbounded trace must fail")
+    {
+        ServeError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::EvalFailed);
+            assert!(message.contains("checkpoints"), "{message}");
+        }
+        other => panic!("expected eval_failed, got {other}"),
+    }
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server exit");

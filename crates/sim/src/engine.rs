@@ -511,13 +511,18 @@ impl EvalEngine {
         run_scaling_with(curves, support_sizes, base, &self.policy)
     }
 
-    /// Run the Monte-Carlo repeated-game simulation on the engine's
-    /// policy.
+    /// Run the Monte-Carlo repeated-game simulation of §4.2 on the
+    /// engine's policy: `replicates` independent blocks of
+    /// `rounds_per_replicate` rounds, each round sampling the
+    /// defender's strength from `strategy` and scoring every support
+    /// placement. Each block's RNG derives from `master_seed` and its
+    /// index alone, and blocks merge in index order, so the result is
+    /// bit-identical at any thread count.
     ///
     /// # Errors
     ///
-    /// Same conditions as
-    /// [`crate::monte_carlo::simulate_repeated_game_parallel`].
+    /// Returns [`SimError::BadParameter`] if `rounds_per_replicate` or
+    /// `replicates` is zero.
     pub fn simulate_repeated_game(
         &self,
         game: &PoisonGame,

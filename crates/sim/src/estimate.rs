@@ -23,10 +23,9 @@ use poisongame_core::{CostCurve, EffectCurve, PoisonGame};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Curves estimated from experiments, plus the raw samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurveEstimate {
     /// Fitted per-point damage curve.
     pub effect: EffectCurve,

@@ -12,10 +12,9 @@ use crate::pipeline::{filter_train_eval, hugging_placement, run_cell, Experiment
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Sweep configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Config {
     /// Filter strengths to sweep (fractions removed).
     pub strengths: Vec<f64>,
@@ -26,7 +25,7 @@ pub struct Fig1Config {
 }
 
 impl Default for Fig1Config {
-    /// The paper sweeps 0–40 % removal; 13 points cover it densely
+    /// The paper sweeps 0–40 % removal; 12 points cover it densely
     /// enough to recover the curve shapes.
     fn default() -> Self {
         Self {
@@ -39,7 +38,7 @@ impl Default for Fig1Config {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig1Row {
     /// Filter strength (fraction of each class removed).
     pub removed_fraction: f64,
@@ -53,7 +52,7 @@ pub struct Fig1Row {
 }
 
 /// The full Figure 1 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Results {
     /// One row per sweep strength, ascending.
     pub rows: Vec<Fig1Row>,

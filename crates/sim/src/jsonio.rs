@@ -1,10 +1,9 @@
 //! Minimal JSON reader/writer backing the serializable scenario API.
 //!
-//! The workspace builds offline, so `serde_json` is unavailable and the
-//! `serde` dependency is a marker-trait shim (see `shims/README.md`).
-//! Scenario specs still need a real wire format — experiment grids are
-//! authored as JSON strings and shipped between tools — so this module
-//! provides the small value model those specs serialize through:
+//! The workspace builds offline, with no JSON crate. Scenario specs
+//! still need a real wire format — experiment grids are authored as
+//! JSON strings and shipped between tools — so this module provides
+//! the small value model every wire form serializes through:
 //! [`Json::parse`] (strict recursive descent) and [`Json::render`]
 //! (deterministic output, object keys in insertion order).
 //!

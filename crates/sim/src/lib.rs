@@ -31,8 +31,8 @@
 //!   entry point of every artifact: dataset preparations keyed by
 //!   content hash and shared (`Arc`) across every experiment, and
 //!   copy-on-write poisoned views instead of per-cell clones.
-//! * [`jsonio`] — the minimal JSON reader/writer scenario specs
-//!   serialize through (the `serde` dependency is an offline shim).
+//! * [`jsonio`] — the minimal JSON reader/writer every wire form
+//!   serializes through.
 //! * [`report`] — ASCII tables and CSV output.
 //!
 //! # Example

@@ -5,7 +5,8 @@
 //! repeatedly — sampling the defender's filter strength each round —
 //! and checks that the *empirical* per-placement payoffs converge to a
 //! common value, closing the loop between the analytic strategy and
-//! the stochastic game it is meant to secure.
+//! the stochastic game it is meant to secure. Its one entry point is
+//! [`crate::engine::EvalEngine::simulate_repeated_game`].
 
 use crate::error::SimError;
 use crate::exec::{parallel_map, ExecPolicy};
@@ -13,10 +14,9 @@ use poisongame_core::{DefenderMixedStrategy, PoisonGame};
 use poisongame_linalg::rng::SplitMix64;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Result of a repeated-game simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonteCarloResults {
     /// `(placement, empirical mean attacker payoff)` per candidate.
     pub candidate_payoffs: Vec<(f64, f64)>,
@@ -26,30 +26,6 @@ pub struct MonteCarloResults {
     pub mean_defender_loss: f64,
     /// Rounds simulated.
     pub rounds: usize,
-}
-
-/// Simulate `rounds` plays of the game: each round the defender samples
-/// a strength from `strategy`, and every candidate placement's payoff
-/// (`N·E(p)` if it survives, else 0) is recorded.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadParameter`] if `rounds == 0`.
-pub fn simulate_repeated_game(
-    game: &PoisonGame,
-    strategy: &DefenderMixedStrategy,
-    rounds: usize,
-    rng: &mut Xoshiro256StarStar,
-) -> Result<MonteCarloResults, SimError> {
-    if rounds == 0 {
-        return Err(SimError::BadParameter {
-            what: "rounds",
-            value: 0.0,
-        });
-    }
-    let candidates: Vec<f64> = strategy.support().to_vec();
-    let partial = play_rounds(game, strategy, &candidates, rounds, rng);
-    finish(&candidates, partial, rounds)
 }
 
 /// Per-candidate payoff sums and the defender-loss sum over a block of
@@ -121,17 +97,21 @@ fn finish(
     })
 }
 
-/// Parallel repeated-game simulation: `replicates` independent blocks
-/// of `rounds_per_replicate` rounds, each with its own RNG derived
-/// from `master_seed` via SplitMix64, fanned out across the worker
-/// pool and merged in replicate order. Bit-identical at any thread
-/// count (including [`ExecPolicy::sequential`]).
+/// Simulate `replicates` independent blocks of `rounds_per_replicate`
+/// plays of the game: each round the defender samples a strength from
+/// `strategy`, and every candidate placement's payoff (`N·E(p)` if it
+/// survives, else 0) is recorded. Each block has its own RNG derived
+/// from `master_seed` via SplitMix64; the blocks fan out across the
+/// worker pool and merge in replicate order, so the result is
+/// bit-identical at any thread count (including
+/// [`ExecPolicy::sequential`]). Reached through
+/// [`crate::engine::EvalEngine::simulate_repeated_game`].
 ///
 /// # Errors
 ///
 /// Returns [`SimError::BadParameter`] if `rounds_per_replicate` or
 /// `replicates` is zero.
-pub fn simulate_repeated_game_parallel(
+pub(crate) fn simulate_repeated_game_parallel(
     game: &PoisonGame,
     strategy: &DefenderMixedStrategy,
     rounds_per_replicate: usize,
@@ -181,9 +161,9 @@ pub fn simulate_repeated_game_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EvalEngine;
     use poisongame_core::ne::equalizing_strategy;
     use poisongame_core::{CostCurve, EffectCurve};
-    use rand::SeedableRng;
 
     fn game() -> PoisonGame {
         let effect = EffectCurve::from_samples(&[
@@ -201,8 +181,10 @@ mod tests {
     fn equalizing_strategy_is_empirically_indifferent() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], g.effect()).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(31);
-        let mc = simulate_repeated_game(&g, &strategy, 200_000, &mut rng).unwrap();
+        let mc = EvalEngine::new()
+            .simulate_repeated_game(&g, &strategy, 25_000, 8, 31)
+            .unwrap();
+        assert_eq!(mc.rounds, 200_000);
         assert!(
             mc.payoff_spread < 0.02,
             "payoffs not indifferent: {:?} (spread {})",
@@ -216,8 +198,10 @@ mod tests {
         let g = game();
         // Uniform probabilities are not equalizing for this curve.
         let strategy = DefenderMixedStrategy::new(vec![0.05, 0.30], vec![0.5, 0.5]).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(32);
-        let mc = simulate_repeated_game(&g, &strategy, 100_000, &mut rng).unwrap();
+        let mc = EvalEngine::new()
+            .simulate_repeated_game(&g, &strategy, 12_500, 8, 32)
+            .unwrap();
+        assert_eq!(mc.rounds, 100_000);
         assert!(
             mc.payoff_spread > 0.1,
             "expected visible spread, got {}",
@@ -229,8 +213,10 @@ mod tests {
     fn empirical_matches_analytic_payoff() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.25], g.effect()).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(33);
-        let mc = simulate_repeated_game(&g, &strategy, 300_000, &mut rng).unwrap();
+        let mc = EvalEngine::new()
+            .simulate_repeated_game(&g, &strategy, 37_500, 8, 33)
+            .unwrap();
+        assert_eq!(mc.rounds, 300_000);
         let analytic = g.n_points() as f64 * strategy.attacker_gain(g.effect());
         for &(p, emp) in &mc.candidate_payoffs {
             assert!(
@@ -241,23 +227,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replicates_are_thread_count_invariant() {
+    fn replicates_are_thread_count_invariant() {
         let g = game();
         let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], g.effect()).unwrap();
-        let reference =
-            simulate_repeated_game_parallel(&g, &strategy, 5_000, 8, 91, &ExecPolicy::sequential())
-                .unwrap();
+        let run = |policy| {
+            EvalEngine::with_policy(policy)
+                .simulate_repeated_game(&g, &strategy, 5_000, 8, 91)
+                .unwrap()
+        };
+        let reference = run(ExecPolicy::sequential());
         for threads in [2, 8] {
-            let parallel = simulate_repeated_game_parallel(
-                &g,
-                &strategy,
-                5_000,
-                8,
-                91,
-                &ExecPolicy::with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(reference, parallel, "{threads} threads diverged");
+            assert_eq!(
+                reference,
+                run(ExecPolicy::with_threads(threads)),
+                "{threads} threads diverged"
+            );
         }
         // And the statistics still make sense.
         assert!(reference.payoff_spread < 0.05);
@@ -265,19 +249,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rejects_zero_blocks() {
-        let g = game();
-        let strategy = DefenderMixedStrategy::pure(0.1).unwrap();
-        let policy = ExecPolicy::default();
-        assert!(simulate_repeated_game_parallel(&g, &strategy, 0, 4, 1, &policy).is_err());
-        assert!(simulate_repeated_game_parallel(&g, &strategy, 10, 0, 1, &policy).is_err());
-    }
-
-    #[test]
     fn zero_rounds_rejected() {
         let g = game();
         let strategy = DefenderMixedStrategy::pure(0.1).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(34);
-        assert!(simulate_repeated_game(&g, &strategy, 0, &mut rng).is_err());
+        let err = EvalEngine::new()
+            .simulate_repeated_game(&g, &strategy, 0, 4, 34)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::BadParameter {
+                what: "rounds_per_replicate",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn zero_replicates_rejected() {
+        let g = game();
+        let strategy = DefenderMixedStrategy::pure(0.1).unwrap();
+        let err = EvalEngine::new()
+            .simulate_repeated_game(&g, &strategy, 10, 0, 1)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::BadParameter {
+                what: "replicates",
+                ..
+            }
+        ));
     }
 }

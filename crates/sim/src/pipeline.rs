@@ -20,12 +20,11 @@ use poisongame_linalg::Xoshiro256StarStar;
 use poisongame_ml::batch::batched_accuracy;
 use poisongame_ml::{FitKernel, LinearState, TrainConfig};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which dataset the experiment runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DataSource {
     /// The synthetic Spambase stand-in (see `poisongame-data`).
     SyntheticSpambase {
@@ -84,7 +83,7 @@ impl Default for DataSource {
 }
 
 /// Experiment configuration shared by Figure 1 / Table 1 / scaling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Master seed: every random choice derives from it.
     pub seed: u64,
@@ -105,14 +104,12 @@ pub struct ExperimentConfig {
     /// [`Self::warm_start`]` = false` the paper's pipeline solves no
     /// matrix games, so this field has no effect until `warm_start`
     /// (or a direct [`poisongame_core::bridge`] cross-check) uses it.
-    #[serde(default)]
     pub solver: SolverKind,
     /// Warm-start Algorithm 1 from the discretized game's NE (solved
     /// with [`Self::solver`] on a bounded seeding budget) instead of
     /// the paper's even `chooseInitialRadius(n)` spread. Off by
     /// default: the paper's behavior is preserved exactly unless
     /// opted in.
-    #[serde(default)]
     pub warm_start: bool,
     /// Which training kernel every fit in this experiment uses.
     /// Defaults to [`FitKernel::RowSgd`] — the historical
@@ -122,14 +119,12 @@ pub struct ExperimentConfig {
     /// [`FitKernel::Minibatch`] trades bit-identity for blocked-GEMM
     /// throughput (tolerance-equivalent accuracy; see
     /// `poisongame-ml`).
-    #[serde(default)]
     pub fit_kernel: FitKernel,
     /// Which attack × defense × learner triple every cell of this
     /// experiment dispatches through. Defaults to the paper's triple
     /// (boundary attack, radius filter, linear SVM), so configs that
     /// never mention a scenario — including serialized ones with the
     /// field absent — reproduce the paper's pipeline bit-for-bit.
-    #[serde(default)]
     pub scenario: Scenario,
 }
 
@@ -751,7 +746,7 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, SimError> {
 }
 
 /// Result of one attack → filter → train → evaluate run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalOutcome {
     /// Held-out accuracy of the model trained on the filtered data.
     pub accuracy: f64,

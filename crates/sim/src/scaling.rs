@@ -5,11 +5,10 @@ use crate::error::SimError;
 use crate::estimate::CurveEstimate;
 use crate::exec::{try_parallel_map, ExecPolicy};
 use poisongame_core::{Algorithm1, Algorithm1Config};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One scaling measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRow {
     /// Support size.
     pub n_radii: usize,
@@ -24,7 +23,7 @@ pub struct ScalingRow {
 }
 
 /// The full scaling experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingResults {
     /// One row per support size, ascending.
     pub rows: Vec<ScalingRow>,

@@ -19,10 +19,9 @@
 //!   [`crate::exec`] worker pool with per-cell derived seeds and
 //!   collected into a long-format result table (one row per cell).
 //!
-//! Specs serialize to JSON through [`crate::jsonio`] (the `serde`
-//! dependency is an offline marker shim, so the wire format lives
-//! here): see [`Scenario::from_json_str`] and
-//! [`ScenarioMatrix::from_json_str`] for the schema.
+//! Specs serialize to JSON through [`crate::jsonio`]: see
+//! [`Scenario::from_json_str`] and [`ScenarioMatrix::from_json_str`]
+//! for the schema.
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@ use poisongame_ml::perceptron::AveragedPerceptron;
 use poisongame_ml::svm::LinearSvm;
 use poisongame_ml::{Classifier, LinearState, TrainConfig};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Which poisoning attack a scenario runs.
@@ -68,7 +66,7 @@ use std::time::Instant;
 /// the cell's placement (the removal-percentile axis shared with the
 /// defense sweep) and the poison budget, so one spec serves every
 /// sweep point.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum AttackSpec {
     /// The paper's optimal single-radius boundary attack at the cell's
     /// placement — the default.
@@ -172,7 +170,7 @@ impl AttackSpec {
 /// Filters are built per cell from the sweep's [`FilterStrength`] and
 /// the experiment's centroid estimator, so one spec serves a whole
 /// strength sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DefenseSpec {
     /// The paper's sphere (radius) filter around a robust centroid —
     /// the default.
@@ -275,7 +273,7 @@ impl DefenseSpec {
 }
 
 /// Which victim model a scenario trains on the filtered data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnerSpec {
     /// The paper's hinge-loss linear SVM — the default.
     #[default]
@@ -325,19 +323,16 @@ impl LearnerSpec {
 /// cell dispatches through.
 ///
 /// [`Scenario::default`] is the paper's triple (boundary attack,
-/// radius filter, linear SVM), and [`ExperimentConfig`] embeds a
-/// scenario with `#[serde(default)]`, so configs that never mention a
+/// radius filter, linear SVM), and [`ExperimentConfig`]'s JSON form
+/// defaults a missing scenario to it, so configs that never mention a
 /// scenario reproduce the paper's pipeline bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scenario {
     /// Poison generator.
-    #[serde(default)]
     pub attack: AttackSpec,
     /// Training-data sanitizer.
-    #[serde(default)]
     pub defense: DefenseSpec,
     /// Victim model.
-    #[serde(default)]
     pub learner: LearnerSpec,
 }
 
@@ -480,7 +475,7 @@ impl ScenarioBuilder {
 /// Every cell runs the same protocol as the paper's Figure 1 at one
 /// filter strength: poison the training set (placement hugging the
 /// filter from inside), sanitize, train, evaluate held-out accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMatrix {
     /// Attack axis.
     pub attacks: Vec<AttackSpec>,
@@ -631,7 +626,7 @@ impl ScenarioMatrix {
 }
 
 /// One completed matrix cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// The cell's triple.
     pub scenario: Scenario,
@@ -646,7 +641,7 @@ pub struct MatrixCell {
 /// went through [`crate::engine::EvalEngine`]; wall-clock fields are
 /// inherently nondeterministic, so [`MatrixResults`]'s equality
 /// ignores this block entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStats {
     /// Dataset preparations answered from the shared store.
     pub prep_hits: u64,
@@ -741,7 +736,7 @@ impl MatrixCell {
 }
 
 /// All matrix cells in grid order, plus shared context.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixResults {
     /// One row per scenario cell, in [`ScenarioMatrix::scenarios`]
     /// order.

@@ -15,10 +15,9 @@ use poisongame_core::{Algorithm1, DefenderMixedStrategy};
 use poisongame_defense::FilterStrength;
 use poisongame_linalg::Xoshiro256StarStar;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One Table 1 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Support size `n` (the algorithm input).
     pub n_radii: usize,
@@ -37,7 +36,7 @@ pub struct Table1Row {
 }
 
 /// The full Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Results {
     /// One row per requested support size.
     pub rows: Vec<Table1Row>,

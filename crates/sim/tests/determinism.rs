@@ -13,7 +13,6 @@ use poisongame_sim::error::SimError;
 use poisongame_sim::estimate::{default_placements, default_strengths, CurveEstimate};
 use poisongame_sim::exec::ExecPolicy;
 use poisongame_sim::fig1::{run_fig1_prepared, Fig1Config};
-use poisongame_sim::monte_carlo::simulate_repeated_game_parallel;
 use poisongame_sim::pipeline::{prepare, DataSource, ExperimentConfig};
 use poisongame_sim::report::{fig1_csv, fig1_table, matrix_csv, table1_table};
 use poisongame_sim::scenario::{run_matrix_prepared, Scenario, ScenarioMatrix};
@@ -142,13 +141,39 @@ fn cached_engine_is_byte_identical_to_cold_evaluation() {
     }
 }
 
+/// FNV-1a digest of an online trace: every checkpoint and both
+/// averaged strategies, each float by exact bit pattern.
+fn online_digest(trace: &poisongame_online::OnlineTrace) -> u64 {
+    let mut h = ContentHash::new()
+        .u64(trace.rounds as u64)
+        .str(&trace.attacker)
+        .str(&trace.defender)
+        .str(trace.feedback.name())
+        .u64(trace.seed)
+        .f64(trace.ne_value);
+    for p in &trace.points {
+        h = h
+            .u64(p.round as u64)
+            .f64(p.attacker_regret)
+            .f64(p.defender_regret)
+            .f64(p.exploitability)
+            .f64(p.average_value)
+            .f64(p.ne_gap);
+    }
+    for &x in trace.attacker_average.iter().chain(&trace.defender_average) {
+        h = h.f64(x);
+    }
+    h.finish()
+}
+
 /// Online play is a sequential loop over a payoff grid materialized
 /// in parallel: the trace (regrets, exploitability, averaged
-/// strategies — all floats) must be byte-identical at any worker
-/// count, on both the batch and the lazy engine-backed routes.
+/// strategies — all floats) is the same bits at any worker count, and
+/// those bits are pinned. The constant was computed before the lazy
+/// per-cell route was deleted, when both routes agreed on it.
 #[test]
 fn online_traces_are_byte_identical_across_worker_counts() {
-    use poisongame_online::{run_online, run_online_engine, LearnerKind, OnlineSpec};
+    use poisongame_online::{run_online, LearnerKind, OnlineSpec};
 
     let config = tiny_config();
     let spec = OnlineSpec {
@@ -160,33 +185,21 @@ fn online_traces_are_byte_identical_across_worker_counts() {
         ..OnlineSpec::default()
     };
 
-    let reports: Vec<String> = THREAD_COUNTS
-        .iter()
-        .map(|&threads| {
-            let engine = EvalEngine::new();
-            let outcome = run_online(&engine, &config, &spec, &ExecPolicy::with_threads(threads))
-                .expect("online run");
-            outcome.trace.to_json_string()
-        })
-        .collect();
-    for (threads, report) in THREAD_COUNTS.iter().zip(&reports).skip(1) {
+    for &threads in &THREAD_COUNTS {
+        let engine = EvalEngine::new();
+        let outcome = run_online(&engine, &config, &spec, &ExecPolicy::with_threads(threads))
+            .expect("online run");
         assert_eq!(
-            report.as_bytes(),
-            reports[0].as_bytes(),
+            online_digest(&outcome.trace),
+            0x3860_3d4c_59ce_aca2,
             "online trace diverged at {threads} threads"
         );
     }
-
-    // The lazy engine-backed schedule produces the same bytes too.
-    let engine = EvalEngine::new();
-    let lazy = run_online_engine(&engine, &config, &spec).expect("lazy online run");
-    assert_eq!(
-        lazy.trace.to_json_string().as_bytes(),
-        reports[0].as_bytes(),
-        "lazy route diverged from the parallel route"
-    );
 }
 
+/// The Monte-Carlo indifference check fans its replicates out on the
+/// engine's pool and merges them in replicate order: the same bits at
+/// any thread count, and those bits are pinned.
 #[test]
 fn monte_carlo_results_are_byte_identical_across_thread_counts() {
     let effect = EffectCurve::from_samples(&[
@@ -200,27 +213,20 @@ fn monte_carlo_results_are_byte_identical_across_thread_counts() {
     let game = PoisonGame::new(effect, cost, 644).unwrap();
     let strategy = equalizing_strategy(&[0.05, 0.15, 0.30], game.effect()).unwrap();
 
-    let reports: Vec<String> = THREAD_COUNTS
-        .iter()
-        .map(|&threads| {
-            let mc = simulate_repeated_game_parallel(
-                &game,
-                &strategy,
-                10_000,
-                16,
-                0xCAFE,
-                &ExecPolicy::with_threads(threads),
-            )
+    for &threads in &THREAD_COUNTS {
+        let mc = EvalEngine::with_policy(ExecPolicy::with_threads(threads))
+            .simulate_repeated_game(&game, &strategy, 10_000, 16, 0xCAFE)
             .expect("simulation runs");
-            // Debug formatting prints full float precision — any bit
-            // difference in any field shows up here.
-            format!("{mc:?}")
-        })
-        .collect();
-    for (threads, report) in THREAD_COUNTS.iter().zip(&reports).skip(1) {
+        let mut h = ContentHash::new()
+            .u64(mc.rounds as u64)
+            .f64(mc.payoff_spread)
+            .f64(mc.mean_defender_loss);
+        for &(p, v) in &mc.candidate_payoffs {
+            h = h.f64(p).f64(v);
+        }
         assert_eq!(
-            report.as_bytes(),
-            reports[0].as_bytes(),
+            h.finish(),
+            0xcd03_8c0c_3107_0de4,
             "monte carlo diverged at {threads} threads"
         );
     }

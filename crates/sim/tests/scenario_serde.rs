@@ -1,8 +1,7 @@
-//! Serde round-trip coverage for the scenario-spec surface: every
-//! spec variant survives JSON → struct → JSON, and a config that
-//! never mentions a scenario deserializes to the paper triple (the
-//! `#[serde(default)]` compatibility contract, realized through the
-//! workspace's own `jsonio` wire format).
+//! Round-trip coverage for the scenario-spec surface: every spec
+//! variant survives JSON → struct → JSON through the workspace's own
+//! `jsonio` wire format, and a config that never mentions a scenario
+//! (or any other defaulted field) parses to the paper defaults.
 
 use poisongame_core::SolverKind;
 use poisongame_defense::CentroidEstimator;

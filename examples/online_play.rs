@@ -9,12 +9,13 @@
 //!
 //! Part 2 runs the empirical mode on real (synthetic-Spambase) data:
 //! every payoff-grid cell is an actual attack → filter → train →
-//! evaluate run routed through the `EvalEngine`, so repeated queries
-//! hit the preparation cache instead of re-preparing the dataset.
+//! evaluate run, prepared through the `EvalEngine`. Running the same
+//! game twice on one engine prepares the dataset once: the second run
+//! hits the preparation cache and reproduces the trace byte for byte.
 //!
 //! Used as a CI smoke: the assertions at the bottom (regret shrinks,
-//! the averaged value lands on the NE, cache hits dominate) fail the
-//! run loudly if online play regresses.
+//! the averaged value lands on the NE, the rerun hits the cache with
+//! an identical trace) fail the run loudly if online play regresses.
 //!
 //! ```sh
 //! cargo run --release --example online_play
@@ -26,7 +27,7 @@ use poisongame::online::payoff::MatrixPayoff;
 use poisongame::online::pipeline::materialize_grid;
 use poisongame::online::play::{play, PlayConfig};
 use poisongame::online::report::online_table;
-use poisongame::online::{run_online, run_online_engine, LearnerKind, OnlineSpec};
+use poisongame::online::{run_online, LearnerKind, OnlineSpec};
 use poisongame::sim::exec::ExecPolicy;
 use poisongame::sim::pipeline::{DataSource, ExperimentConfig};
 use poisongame::sim::EvalEngine;
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let t0 = Instant::now();
     let trace = play(
-        &mut MatrixPayoff::new(matrix),
+        &MatrixPayoff::new(matrix),
         &PlayConfig {
             rounds: 10_000,
             attacker: LearnerKind::RegretMatching,
@@ -116,56 +117,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // The static reference on the *same* empirical game: materialize
-    // the payoff grid, solve it once. Sequential materialization, like
-    // the lazy route below — the comparison is about what the 10k
+    // the payoff grid, solve it once. Both the reference and the runs
+    // below are sequential — the comparison is about what the 10k
     // rounds add, not about worker counts, and a parallel reference
     // would make the CI timing assertion core-count-dependent.
+    let sequential = ExecPolicy::sequential();
     let static_engine = EvalEngine::new();
     let t0 = Instant::now();
     let static_prepared = static_engine.prepare(&config)?;
-    let static_game =
-        materialize_grid(&static_prepared, &config, &spec, &ExecPolicy::sequential())?;
+    let static_game = materialize_grid(&static_prepared, &config, &spec, &sequential)?;
     let static_value = SolverKind::Simplex.solve(&static_game)?.value;
     let static_micros = t0.elapsed().as_micros();
 
     let engine = EvalEngine::new();
     let t0 = Instant::now();
-    let lazy = run_online_engine(&engine, &config, &spec)?;
-    let lazy_micros = t0.elapsed().as_micros();
-    let stats = lazy.engine.expect("engine stats");
+    let first = run_online(&engine, &config, &spec, &sequential)?;
+    let first_micros = t0.elapsed().as_micros();
+    let stats = first.engine;
     println!(
         "empirical mode: {} cells + {} rounds on real data in {:.1} ms \
          (static solve of the same game: {:.1} ms, value {:.4})",
         stats.cells,
         spec.rounds,
-        lazy_micros as f64 / 1000.0,
+        first_micros as f64 / 1000.0,
         static_micros as f64 / 1000.0,
         static_value
     );
     // Same order of magnitude end to end: cell evaluation dominates,
     // the 10k memoized rounds are marginal.
     assert!(
-        lazy_micros <= static_micros.max(1) * 10,
-        "T=10k empirical run ({lazy_micros}us) should be within one order \
+        first_micros <= static_micros.max(1) * 10,
+        "T=10k empirical run ({first_micros}us) should be within one order \
          of the static solve ({static_micros}us)"
     );
-    println!(
-        "  prep cache: {} hits / {} misses — repeated payoff queries share one preparation",
-        stats.prep_hits, stats.prep_misses
-    );
-    let last = lazy.trace.last();
+    let last = first.trace.last();
     println!(
         "  {} vs {} after {} rounds: averaged value {:.4}, NE gap {:.2e}, exploitability {:.2e}",
-        lazy.trace.attacker,
-        lazy.trace.defender,
-        lazy.trace.rounds,
+        first.trace.attacker,
+        first.trace.defender,
+        first.trace.rounds,
         last.average_value,
         last.ne_gap,
         last.exploitability
-    );
-    assert!(
-        stats.prep_hits > stats.prep_misses,
-        "engine-backed payoffs must hit the prep cache: {stats:?}"
     );
     assert!(
         last.ne_gap <= 1e-2,
@@ -173,15 +166,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         last.ne_gap
     );
 
-    // The parallel-materialization route is bit-identical.
-    let engine2 = EvalEngine::new();
-    let batch = run_online(&engine2, &config, &spec, &ExecPolicy::default())?;
-    assert_eq!(
-        batch.trace.to_json_string(),
-        lazy.trace.to_json_string(),
-        "parallel and lazy routes diverged"
+    // The same game again on the same engine: the preparation comes
+    // from the cache and the trace is the same bytes.
+    let second = run_online(&engine, &config, &spec, &sequential)?;
+    let stats = second.engine;
+    println!(
+        "  rerun prep cache: {} hits / {} misses — one preparation serves both runs",
+        stats.prep_hits, stats.prep_misses
     );
-    println!("  parallel materialization: bit-identical trace — OK");
+    assert_eq!(stats.prep_misses, 0, "rerun re-prepared: {stats:?}");
+    assert!(
+        stats.prep_hits >= 1,
+        "rerun missed the prep cache: {stats:?}"
+    );
+    assert_eq!(
+        second.trace.to_json_string(),
+        first.trace.to_json_string(),
+        "rerun diverged from the first run"
+    );
+    println!("  rerun: bit-identical trace — OK");
 
     println!("\nonline play OK");
     Ok(())
