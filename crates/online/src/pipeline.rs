@@ -234,6 +234,38 @@ mod tests {
     }
 
     #[test]
+    fn materialized_grid_matches_cells_scored_one_at_a_time() {
+        // Entry (i, j) depends on the master seed and the cell index
+        // alone: scoring each cell on its own, in any order, gives the
+        // pooled grid bit-for-bit.
+        let config = grid_config();
+        let spec = grid_spec();
+        let prepared = prepare(&config).unwrap();
+        let game =
+            materialize_grid(&prepared, &config, &spec, &ExecPolicy::with_threads(4)).unwrap();
+        let baseline = empirical_baseline(&prepared, &config).unwrap();
+        let seeds = cell_seeds(&config, spec.n_cells());
+        let n = spec.strengths.len();
+        for idx in (0..spec.n_cells()).rev() {
+            let (i, j) = (idx / n, idx % n);
+            let entry = empirical_entry(
+                &prepared,
+                &config,
+                baseline,
+                spec.placements[i],
+                spec.strengths[j],
+                seeds[idx],
+            )
+            .unwrap();
+            assert_eq!(
+                entry.to_bits(),
+                game.payoff(i, j).to_bits(),
+                "cell ({i}, {j})"
+            );
+        }
+    }
+
+    #[test]
     fn materialized_grid_picks_up_minibatch_kernel_from_config() {
         // `fit_kernel` flows config → train_config → every cell fit
         // with no grid-side wiring. The empirical entries stay a

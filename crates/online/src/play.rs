@@ -554,6 +554,26 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_count_matches_the_recorded_points() {
+        // Spec validation bounds a trace's size with `checkpoint_count`,
+        // so it must count exactly the points the play loop records —
+        // at an exact multiple, a partial last cadence, and auto.
+        for (rounds, checkpoint_every) in [(1, 0), (15, 0), (1_000, 0), (900, 300), (1_000, 300)] {
+            let config = PlayConfig {
+                rounds,
+                checkpoint_every,
+                ..PlayConfig::default()
+            };
+            let trace = play(&MatrixPayoff::new(pennies()), &config).unwrap();
+            assert_eq!(
+                trace.points.len(),
+                checkpoint_count(rounds, checkpoint_every),
+                "rounds {rounds}, every {checkpoint_every}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_rounds_rejected() {
         let config = PlayConfig {
             rounds: 0,
